@@ -5,7 +5,8 @@ File formats
 Dataset CSV: header ``f1,...,fd,gender,age``; gender in {M, F, +1, -1};
 age an integer rank (values in 1..100 are used verbatim) or a raw year
 (anything else is compacted to ranks 1..K with the rank -> year map carried
-into reports).  UTF-8, comma separators, '.' decimals.
+into reports and, by ``fit``, into the model file, through which ``predict``
+turns ranks back into years).  UTF-8, comma separators, '.' decimals.
 
 Model JSON and report JSON are versioned with a ``schema_version`` field
 and written with sorted keys, so identical invocations produce
@@ -214,18 +215,27 @@ def _cmd_fit(args):
         )
         hyper, _ = cross_validate(ds, grid, folds=5)
     model = fit(ds, TrainConfig(hyper=hyper, init_seed=_resolve_seed(args)))
-    _atomic_write(args.out, _json_text(model_to_dict(model)))
+    payload = model_to_dict(model)
+    if ds.rank_to_year is not None:
+        # predicted ranks mean training years; the CSV given to predict may
+        # hold other years, so its own map cannot translate them back
+        payload["rank_to_year"] = list(ds.rank_to_year)
+    _atomic_write(args.out, _json_text(payload))
     return 0
 
 
 def _cmd_predict(args):
     with open(args.model, "r", encoding="utf-8") as handle:
-        model = model_from_dict(json.load(handle))
+        payload = json.load(handle)
+    model = model_from_dict(payload)
+    year_map = payload.get("rank_to_year")
+    if year_map is not None and len(year_map) != model.num_ranks:
+        raise GenAgeError(f"model year map has {len(year_map)} entries for {model.num_ranks} ranks")
     ds = ingest_csv(args.data)
     genders, ranks = predict_batch(model, ds.features)
     rows = ["gender,age"]
     for g, r in zip(genders, ranks):
-        age = r if ds.rank_to_year is None else ds.rank_to_year[r - 1]
+        age = r if year_map is None else year_map[r - 1]
         rows.append(f"{'M' if g == MALE else 'F'},{int(age)}")
     _atomic_write(args.out, "\n".join(rows) + "\n")
     return 0

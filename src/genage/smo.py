@@ -45,7 +45,7 @@ def rank1_shrink(anchor, lam3):
     aa = float(anchor @ anchor)
     if aa == 0.0:
         return lambda X: np.asarray(X, dtype=float)
-    q = (1.0 / np.sqrt(1.0 + 2.0 * lam3 * aa) - 1.0) / aa
+    q = _shrink_coefficient(aa, lam3)
 
     def apply(X):
         X = np.asarray(X, dtype=float)
@@ -53,6 +53,15 @@ def rank1_shrink(anchor, lam3):
         return X + np.multiply.outer(proj, q * anchor) if X.ndim > 1 else X + (q * proj) * anchor
 
     return apply
+
+
+def _shrink_coefficient(aa, lam3):
+    """q with M^{-1/2} = I + q*a*a^T, i.e. (1/sqrt(1 + x) - 1) / |a|^2 for x = 2*lam3*|a|^2.
+
+    Written without the subtraction, which cancels to nothing for small x.
+    """
+    root = np.sqrt(1.0 + 2.0 * lam3 * aa)
+    return -2.0 * lam3 / (root * (1.0 + root))
 
 
 @dataclass
@@ -77,16 +86,79 @@ class HingeSolution:
     beta: np.ndarray       # dual state in the original term order, for warm starts
 
 
-def _huber_warm_start(prob, mu_min=1e-6):
+_MU_FLOOR = 1e-3  # smallest smoothing width of the warm start's path
+_NEWTON_CAP = 200  # Newton steps per smoothing level; the benchmark's fits need at most 83
+
+
+def _line_minimum(r, q, mu, lam, a, b):
+    """Exact minimiser over t >= 0 of the convex piecewise quadratic
+
+        phi(t) = a*t + 0.5*b*t**2 + lam * sum_i H(r_i + t*q_i),
+
+    where H is the hinge smoothed over width mu (0 below 0, x**2/(2*mu) up
+    to mu, x - mu/2 beyond) and b > 0.  phi' is continuous and piecewise
+    linear, with breakpoints where a residual crosses 0 or mu.  Sorting them
+    and accumulating the slope changes gives phi' at every breakpoint in one
+    pass; the segment holding its first sign change is then rebuilt from r
+    and q directly, so the accumulated roundoff never enters the answer.
+    """
+    moving = q != 0.0
+    r, q = r[moving], q[moving]
+    k = lam / mu
+
+    def line(quad, upper):
+        """Intercept and slope of phi' with the given terms in each zone."""
+        return (a + lam * q[upper].sum() + k * (q[quad] @ r[quad]),
+                b + k * (q[quad] @ q[quad]))
+
+    # zones just after t = 0: a residual on a zone edge goes the way q points
+    # (at theta = 0 and mu = 1 every residual equals mu exactly)
+    rising = q > 0.0
+    above_zero = (r > 0.0) | ((r == 0.0) & rising)
+    upper = (r > mu) | ((r == mu) & rising)
+    intercept, slope = line(above_zero & ~upper, upper)
+    if intercept >= 0.0:
+        return 0.0
+    # a residual crossing 0 or mu changes the slope of phi' by +-k*q**2; phi'
+    # is continuous, so its intercept changes by minus that times the crossing
+    with np.errstate(over="ignore"):
+        times = np.concatenate([-r / q, (mu - r) / q])
+    kq2 = k * q * q
+    d_slope = np.concatenate([np.where(rising, kq2, -kq2), np.where(rising, -kq2, kq2)])
+    ahead = (times > 0.0) & np.isfinite(times)  # a tiny q may never get there
+    times, d_slope = times[ahead], d_slope[ahead]
+    order = np.argsort(times)
+    times, d_slope = times[order], d_slope[order]
+    dphi = intercept - np.cumsum(d_slope * times) + (slope + np.cumsum(d_slope)) * times
+    crossed = dphi >= 0.0
+    if crossed.any():
+        j = int(np.argmax(crossed))
+        lo, hi = (times[j - 1] if j else 0.0), times[j]
+        mid = 0.5 * (lo + hi)
+    else:
+        lo, hi = (times[-1] if times.size else 0.0), np.inf
+        mid = 2.0 * lo + 1.0
+    x = r + mid * q
+    upper = x >= mu
+    intercept, slope = line((x > 0.0) & ~upper, upper)
+    return float(np.clip(-intercept / slope, lo, hi))
+
+
+def _huber_warm_start(prob):
     """Near-optimal dual point from a smoothed-Newton solve of the primal.
 
     The primal lives in only dim + n_cuts variables, so Newton steps on a
-    Huber-smoothed hinge (path-following the smoothing width down) reach the
-    optimum basin in a few dozen cheap iterations.  The Huber gradient
-    weights are box- and balance-feasible duals, which hands the exact dual
-    ascent a starting point with an already tiny gap.  Duals are extracted
-    at the deepest smoothing level whose gradient actually converged, since
-    conditioning eventually defeats the Newton solves.
+    Huber-smoothed hinge (path-following the smoothing width mu from 1 down
+    to ``_MU_FLOOR``) reach the optimum basin in a few dozen cheap
+    iterations.  Each step goes to the exact minimiser along the Newton
+    direction (:func:`_line_minimum`): a cut with no term in the quadratic
+    zone has only the tiny ridge as curvature, so the full Newton step can
+    overshoot by orders of magnitude.  The Huber gradient weights are box-
+    and balance-feasible duals, which hands the exact dual ascent a starting
+    point with an already tiny gap.  Duals are extracted at the deepest
+    smoothing level whose gradient actually converged, since conditioning
+    eventually defeats the Newton solves; a level also ends, unconverged,
+    when a step raises the value by more than roundoff.
     """
     z = np.asarray(prob.z, dtype=float)
     tau = np.asarray(prob.tau, dtype=float)
@@ -97,64 +169,55 @@ def _huber_warm_start(prob, mu_min=1e-6):
     ridge = 1e-8  # keeps one-sided cuts finite; duals are refined afterwards
     theta = np.zeros(d + n_cuts)
     best_beta = np.zeros(T)
+    cross_index = (cut[:, None] * d + np.arange(d)).ravel()
 
     def pieces(th):
         v, c = th[:d], th[d:]
         r = 1.0 + tau * (z @ v - c[cut])
-        w = np.clip(r / mu, 0.0, 1.0)
         loss = np.where(r >= mu, r - 0.5 * mu, 0.5 * np.clip(r, 0.0, None) ** 2 / mu)
-        value = 0.5 * v @ v + lam * loss.sum() + 0.5 * ridge * c @ c
-        return r, w, value
+        return r, 0.5 * v @ v + lam * loss.sum() + 0.5 * ridge * c @ c
 
     mu = 1.0
-    while mu >= mu_min * 0.99:
+    while mu >= _MU_FLOOR * 0.99:
         converged = False
-        for _ in range(60):
+        r, value = pieces(theta)
+        for _ in range(_NEWTON_CAP):
             v, c = theta[:d], theta[d:]
-            r, w, value = pieces(theta)
-            tw = tau * w
+            tw = tau * np.clip(r / mu, 0.0, 1.0)
             grad = np.concatenate([v + lam * (z.T @ tw), -lam * np.bincount(cut, tw, n_cuts) + ridge * c])
             if np.linalg.norm(grad) <= 1e-8 * max(1.0, lam * np.sqrt(T)):
                 converged = True
                 break
+            # Hessian of the quadratic-zone terms, tau_t^2 = 1:
+            # [z z^T, -z e_cut^T; -e_cut z^T, e_cut e_cut^T] per term
             quad_zone = (r > 0.0) & (r < mu)
-            h = np.zeros((d + n_cuts, d + n_cuts))
-            h[:d, :d] = np.eye(d)
-            h[d:, d:] = ridge * np.eye(n_cuts)
-            if quad_zone.any():
-                zq = z[quad_zone]
-                cq = cut[quad_zone]
-                coef = lam / mu
-                h[:d, :d] += coef * zq.T @ zq
-                cross = np.zeros((d, n_cuts))
-                for j in range(n_cuts):
-                    sel = cq == j
-                    if sel.any():
-                        cross[:, j] = -zq[sel].sum(axis=0)
-                        h[d + j, d + j] += coef * sel.sum()
-                h[:d, d:] += coef * cross
-                h[d:, :d] += coef * cross.T
+            coef = lam / mu
+            zq = z[quad_zone]
+            cross = np.bincount(cross_index[np.repeat(quad_zone, d)], zq.ravel(), n_cuts * d)
+            h = np.empty((d + n_cuts, d + n_cuts))
+            h[:d, :d] = np.eye(d) + coef * (zq.T @ zq)
+            h[d:, :d] = -coef * cross.reshape(n_cuts, d)
+            h[:d, d:] = h[d:, :d].T
+            h[d:, d:] = np.diag(coef * np.bincount(cut[quad_zone], minlength=n_cuts) + ridge)
             try:
                 step = np.linalg.solve(h, -grad)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(h, -grad, rcond=None)[0]
-            slope = float(grad @ step)
-            if slope > 0:
-                step, slope = -grad, -float(grad @ grad)
-            t = 1.0
-            floor = 1e-14 * max(1.0, abs(value))  # Armijo can drown in roundoff
-            for _ in range(60):
-                trial = theta + t * step
-                if pieces(trial)[2] <= value + 0.25 * t * slope + floor:
-                    theta = trial
-                    break
-                t *= 0.5
-            else:
+            if grad @ step > 0:
+                step = -grad
+            dv, dc = step[:d], step[d:]
+            q = tau * (z @ dv - dc[cut])
+            t = _line_minimum(r, q, mu, lam, v @ dv + ridge * (c @ dc), dv @ dv + ridge * (dc @ dc))
+            trial = theta + t * step
+            r_trial, trial_value = pieces(trial)
+            # a step that only carries a residual across a zone edge may lower
+            # the value by less than roundoff, yet it changes the next Hessian
+            if trial_value > value + 1e-14 * max(1.0, abs(value)):
                 break
+            theta, r, value = trial, r_trial, trial_value
         if not converged:
             break
-        r, w, _ = pieces(theta)
-        best_beta = lam * w
+        best_beta = lam * np.clip(r / mu, 0.0, 1.0)
         mu *= 0.1
     return best_beta
 

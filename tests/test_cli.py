@@ -7,6 +7,7 @@ import pytest
 from genage import SynthConfig, generate
 from genage.cli import export_csv, ingest_csv, main, model_from_dict
 from genage.errors import ParseError
+from genage.train import predict_batch
 
 
 def write(path, text):
@@ -113,6 +114,48 @@ def test_generate_then_fit_then_predict(tmp_path):
     lines = pred_path.read_text().strip().splitlines()
     assert lines[0] == "gender,age"
     assert len(lines) == 1 + 8 * 5 * 2
+
+
+def years_csv(path, years, rng):
+    """Two genders apart on f1, age along f2, ten rows per (year, gender)."""
+    rows = ["f1,f2,gender,age"]
+    for year in years:
+        for gender, offset in (("M", 1.5), ("F", -1.5)):
+            for _ in range(10):
+                rows.append(f"{offset + rng.normal() * 0.2},{year - 1983 + rng.normal() * 0.2},"
+                            f"{gender},{year}")
+    return write(path, "\n".join(rows) + "\n")
+
+
+def test_predict_maps_ranks_through_the_training_years(tmp_path):
+    rng = np.random.default_rng(4)
+    train = years_csv(tmp_path / "train.csv", (1981, 1982, 1983, 1984, 1985), rng)
+    test = years_csv(tmp_path / "test.csv", (1981, 1985), rng)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", train, "--lambda3", "100", "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text())
+    assert payload["rank_to_year"] == [1981, 1982, 1983, 1984, 1985]
+    pred_path = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model_path), "--data", test,
+                 "--out", str(pred_path)]) == 0
+    _, *rows = pred_path.read_text().strip().splitlines()
+    genders, ranks = predict_batch(model_from_dict(payload), ingest_csv(test).features)
+    assert rows == [f"{'M' if g == 1 else 'F'},{1980 + r}" for g, r in zip(genders, ranks)]
+    assert {row.split(",")[1] for row in rows} >= {"1981", "1985"}
+
+    payload["rank_to_year"] = payload["rank_to_year"][:3]
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", test,
+                 "--out", str(tmp_path / "bad.csv")]) == 1
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_rank_labelled_model_carries_no_year_map(tmp_path):
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", synth_json(tmp_path), "--out", str(data)]) == 0
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+    assert "rank_to_year" not in json.loads(model_path.read_text())
 
 
 def test_evaluate_emits_all_methods(tmp_path):
