@@ -166,7 +166,7 @@ def _load_synth_config(path, seed=None):
 
 
 def _resolve_seed(args, default=0):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("GENAGE_SEED")
     if env is not None:
@@ -214,7 +214,7 @@ def _cmd_fit(args):
             variant=hyper.variant,
         )
         hyper, _ = cross_validate(ds, grid, folds=5)
-    model = fit(ds, TrainConfig(hyper=hyper, init_seed=_resolve_seed(args)))
+    model = fit(ds, TrainConfig(hyper=hyper))
     payload = model_to_dict(model)
     if ds.rank_to_year is not None:
         # predicted ranks mean training years; the CSV given to predict may
@@ -372,7 +372,6 @@ def build_parser():
     p.add_argument("--cv", action="store_true",
                    help="pick the coupling weight by 5-fold cross-validation")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     _add_hyper_flags(p)
     p.set_defaults(func=_cmd_fit)
 

@@ -236,7 +236,6 @@ class TrainConfig:
     """Everything :func:`genage.train.fit` needs besides the data."""
 
     hyper: HyperParams = field(default_factory=HyperParams)
-    init_seed: int = 0
     record_trace: bool = True
 
 

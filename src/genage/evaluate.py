@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant
 from .errors import EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
-from .pls import fit_pls_dataset, predict_pls_batch
+from .pls import fit_pls_dataset, predict_pls_batch, truncate_pls
 from .synth import SynthConfig, generate
 from .train import fit, predict_batch
 
@@ -268,20 +268,25 @@ def _base_record(test, pred_gender, pred_rank):
 
 
 def select_pls_components(ds: Dataset, max_components=8, folds=5):
-    """Pick the component count by 5-fold rank MAE on the training data."""
+    """Pick the component count by 5-fold rank MAE on the training data.
+
+    Each fold is fit once at the largest count; smaller counts are its
+    leading components (:func:`genage.pls.truncate_pls`).
+    """
     limit = min(ds.dim, ds.n - 1, max_components)
     fold_idx = stratified_folds(ds, folds)
     all_idx = np.arange(ds.n)
+    scores = [[] for _ in range(limit)]
+    for val in fold_idx:
+        train = ds.subset(np.setdiff1d(all_idx, val))
+        test = ds.subset(val)
+        full = fit_pls_dataset(train, limit)
+        for n in range(1, limit + 1):
+            _, ranks = predict_pls_batch(truncate_pls(full, n), test.features)
+            scores[n - 1].append(mae(ranks, test.age_rank))
     best, best_score = 1, np.inf
     for n in range(1, limit + 1):
-        scores = []
-        for val in fold_idx:
-            train = ds.subset(np.setdiff1d(all_idx, val))
-            test = ds.subset(val)
-            model = fit_pls_dataset(train, n)
-            _, ranks = predict_pls_batch(model, test.features)
-            scores.append(mae(ranks, test.age_rank))
-        score = float(np.mean(scores))
+        score = float(np.mean(scores[n - 1]))
         if score < best_score - 1e-12:
             best, best_score = n, score
     return best

@@ -10,7 +10,7 @@ output rounded and clamped into 1..K (rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,19 +98,35 @@ def fit_pls(X, Y, n_components, num_ranks=None):
         P[:, a] = p
         Q[:, a] = q
 
-    # rotate weights so coefficients apply to the undeflated inputs
-    rotations = W @ np.linalg.pinv(P.T @ W)
-    coefficients = rotations @ Q.T
-    return PlsModel(
+    components = PlsModel(
         n_components=n_components,
         x_weights=W,
         x_loadings=P,
         y_loadings=Q,
-        coefficients=coefficients,
+        coefficients=None,
         x_mean=x_mean,
         y_mean=y_mean,
         num_ranks=int(num_ranks),
     )
+    return truncate_pls(components, n_components)
+
+
+def truncate_pls(model: PlsModel, n_components):
+    """The model made of the first ``n_components`` components of ``model``.
+
+    NIPALS extracts each component from the inputs deflated by the ones
+    before it, so this is the model ``fit_pls`` returns for that count, and a
+    search over counts can fit once at the largest.
+    """
+    if not 1 <= n_components <= model.n_components:
+        raise BadConfig(f"n_components must lie in 1..{model.n_components}")
+    W = model.x_weights[:, :n_components].copy()
+    P = model.x_loadings[:, :n_components].copy()
+    Q = model.y_loadings[:, :n_components].copy()
+    # rotate weights so coefficients apply to the undeflated inputs
+    rotations = W @ np.linalg.pinv(P.T @ W)
+    return replace(model, n_components=n_components, x_weights=W, x_loadings=P, y_loadings=Q,
+                   coefficients=rotations @ Q.T)
 
 
 def fit_pls_dataset(ds: Dataset, n_components):

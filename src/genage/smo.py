@@ -88,6 +88,9 @@ class HingeSolution:
 
 _MU_FLOOR = 1e-3  # smallest smoothing width of the warm start's path
 _NEWTON_CAP = 200  # Newton steps per smoothing level; the benchmark's fits need at most 83
+_POLISH_ROUNDS = 60  # Newton face steps per polish
+_POLISH_CAP = 600  # largest working set the polish factorizes
+_POLISH_RECRUIT = 48  # bound-sitting KKT violators added to the first working set
 
 
 def _line_minimum(r, q, mu, lam, a, b):
@@ -222,32 +225,12 @@ def _huber_warm_start(prob):
     return best_beta
 
 
-def _contiguous_partitions(length):
-    """All partitions of range(length) into contiguous blocks."""
-    if length == 0:
-        return [[]]
-    out = []
-    for mask in range(1 << (length - 1)):
-        blocks, start = [], 0
-        for pos in range(length - 1):
-            if mask >> pos & 1:
-                blocks.append(list(range(start, pos + 1)))
-                start = pos + 1
-        blocks.append(list(range(start, length)))
-        out.append(blocks)
-    return out
-
-
 class _DualSolver:
-    def __init__(self, prob: HingeProblem, fixed_blocks=None, warm=None):
+    def __init__(self, prob: HingeProblem, warm=None):
         self.prob = prob
         self.lam = float(prob.penalty)
         self.T = prob.z.shape[0]
-        self.fixed = fixed_blocks is not None
-        if fixed_blocks is not None:
-            self.blocks = [sorted(b) for b in fixed_blocks]
-        else:
-            self.blocks = [[j] for j in range(prob.n_cuts)]
+        self.blocks = [[j] for j in range(prob.n_cuts)]
         self._beta_orig = np.zeros(self.T) if warm is None else np.array(warm, dtype=float)
         self.steps = 0
         self._layout()
@@ -350,70 +333,16 @@ class _DualSolver:
             self.steps += 1
         return worst
 
-    def _smo(self, eps, max_steps):
+    def _smo(self, eps, budget):
         sweeps = 0
-        while self.steps < max_steps:
-            worst = self._sweep(eps)
+        while self.steps < budget:
+            if self._sweep(eps) <= eps:
+                return
             sweeps += 1
-            if worst <= eps:
-                return True
-            if sweeps % 4 == 0:
-                self._projected_ascent()
             if sweeps % 64 == 0:
                 self._polish()
             if sweeps % 512 == 0:
                 self._refresh()  # guard against drift in the running sums
-        return False
-
-    def _projected_ascent(self, rounds=8):
-        """One steepest-ascent step over all duals jointly.
-
-        Pairwise exchanges move two coordinates at a time and crawl badly on
-        degenerate data (duplicated rows make many exchanges equivalent).
-        Projecting the dual gradient onto the balance equalities and the
-        active box faces yields a direction that restructures every block at
-        once; the exact line maximum along it is closed-form.
-        """
-        lam = self.lam
-        tiny = _BOUND_SLACK * max(1.0, lam)
-        grad = self.tau + self.s  # tau_t * dD/dbeta_t ... times tau later
-        grad = grad * self.tau    # dD/dbeta_t = 1 + tau_t s_t
-        active = np.ones(self.T, dtype=bool)
-        p = None
-        for _ in range(rounds):
-            p = np.where(active, grad, 0.0)
-            for sl in self.slices:
-                mask = active[sl]
-                n_act = int(mask.sum())
-                if n_act == 0:
-                    continue
-                t_sl = self.tau[sl]
-                excess = float((t_sl * p[sl])[mask].sum()) / n_act
-                p[sl] = np.where(mask, p[sl] - excess * t_sl, 0.0)
-            outward = ((self.beta <= tiny) & (p < 0)) | ((self.beta >= lam - tiny) & (p > 0))
-            outward &= active
-            if not outward.any():
-                break
-            active &= ~outward
-        slope = float(grad @ p)
-        pnorm = float(np.abs(p).max(initial=0.0))
-        if p is None or pnorm <= 0 or slope <= 1e-14 * max(1.0, lam):
-            return False
-        gp = self.z.T @ (self.tau * p)
-        curv = float(gp @ gp)
-        t_star = slope / curv if curv > 1e-300 else np.inf
-        moving = np.abs(p) > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(p > 0, (lam - self.beta) / p, np.where(p < 0, -self.beta / p, np.inf))
-        t_max = float(np.min(np.where(moving, room, np.inf), initial=np.inf))
-        t = min(t_star, t_max)
-        if not np.isfinite(t) or t <= 0:
-            return False
-        np.clip(self.beta + t * p, 0.0, lam, out=self.beta)
-        self.v -= t * gp
-        self.s -= t * (self.z @ gp)
-        self.steps += 1
-        return True
 
     # ----------------------------------------------------- Newton face polish
 
@@ -444,7 +373,7 @@ class _DualSolver:
         out = np.unique(np.concatenate(idx))
         return out
 
-    def _polish(self, max_rounds=60, cap=600, recruit=48):
+    def _polish(self):
         """Maximize the dual over the working set with a null-space Newton.
 
         SMO identifies the active box structure; the working set (free duals
@@ -458,11 +387,11 @@ class _DualSolver:
         lam = self.lam
         tiny = _BOUND_SLACK * max(1.0, lam)
         banned = np.zeros(self.T, dtype=bool)
-        for round_no in range(max_rounds):
-            work = self._working_set(tiny, recruit if round_no == 0 else 0)
+        for round_no in range(_POLISH_ROUNDS):
+            work = self._working_set(tiny, _POLISH_RECRUIT if round_no == 0 else 0)
             work = work[~banned[work]]
             f = work.size
-            if f == 0 or f > cap:
+            if f == 0 or f > _POLISH_CAP:
                 return
             tau_w = self.tau[work]
             grad = 1.0 + tau_w * self.s[work]  # dD/dbeta over the working set
@@ -583,7 +512,7 @@ class _DualSolver:
 
     def _adjust_ties(self, mtol, stol):
         """One merge-or-split round; returns True when the structure changed."""
-        if self.fixed or not self.prob.chains:
+        if not self.prob.chains:
             return False
         block_of = {}
         for bi, blk in enumerate(self.blocks):
@@ -639,7 +568,7 @@ class _DualSolver:
 
     # ---------------------------------------------------------------- driver
 
-    def solve(self, tol, max_steps):
+    def solve(self, tol):
         if self.lam <= 0.0 or self.T == 0:
             self.beta[:] = 0.0
             self._refresh()
@@ -649,8 +578,9 @@ class _DualSolver:
         eps = 1e-3
         mtol = 1e-8
         stol = 1e-7 * max(1.0, self.lam)
+        budget = default_budget(self.prob.z.shape)
         for _ in range(64 * max(1, self.prob.n_cuts)):
-            self._smo(eps, max_steps)
+            self._smo(eps, budget)
             self._polish()
             if self._adjust_ties(mtol, stol):
                 continue
@@ -661,23 +591,19 @@ class _DualSolver:
             if gap <= tol * (1.0 + abs(primal)):
                 self._sync_original()
                 return HingeSolution(self.v, cuts, primal, gap, self.steps, self._beta_orig)
-            if self.steps >= max_steps or eps <= 1e-12:
+            if self.steps >= budget or eps <= 1e-12:
                 raise NonConvergence(self.steps, gap=gap)
             eps *= 1e-2
         raise NonConvergence(self.steps)
 
 
-def solve_hinge_dual(prob, tol=1e-6, max_steps=None, fixed_blocks=None, warm=None):
+def solve_hinge_dual(prob, tol=1e-6, warm=None):
     """Minimize the reduced subproblem; returns a :class:`HingeSolution`.
 
     ``warm`` seeds the dual variables from a previous solve on the same term
-    layout.  ``fixed_blocks`` pins the tie pattern (used by the exhaustive
-    fallback); normally the active-set loop discovers it.  Raises
-    :class:`NonConvergence` when the duality gap cannot be closed within the
-    step budget.
+    layout.  Raises :class:`NonConvergence` when the duality gap cannot be
+    closed within :func:`default_budget` SMO steps.
     """
-    if max_steps is None:
-        max_steps = default_budget(prob.z.shape)
     if prob.z.shape[0] > 96 and prob.penalty > 0.0:
         # a caller-provided warm start can be arbitrarily stale after the
         # anchor moved; keep whichever dual point certifies the highest value
@@ -685,56 +611,12 @@ def solve_hinge_dual(prob, tol=1e-6, max_steps=None, fixed_blocks=None, warm=Non
         candidates = [_huber_warm_start(prob), None]
         if warm is not None:
             candidates.append(warm)
-        solvers = [_DualSolver(prob, fixed_blocks=fixed_blocks, warm=c) for c in candidates]
-        solver = max(solvers, key=lambda s: s._dual())
+        solver = max((_DualSolver(prob, warm=c) for c in candidates), key=lambda s: s._dual())
     else:
-        solver = _DualSolver(prob, fixed_blocks=fixed_blocks, warm=warm)
-    try:
-        return solver.solve(tol, max_steps)
-    except NonConvergence:
-        if fixed_blocks is not None or not _small_enough(prob):
-            raise
-    return _enumerate_tie_patterns(prob, tol, max_steps)
+        solver = _DualSolver(prob, warm=warm)
+    return solver.solve(tol)
 
 
 def default_budget(shape):
+    """SMO steps a solve of a (terms, dim) problem may take before NonConvergence."""
     return max(200_000, 50 * shape[0] * max(shape[1], 1))
-
-
-def _small_enough(prob):
-    return prob.z.shape[0] <= 80 and all(len(c) <= 5 for c in prob.chains)
-
-
-def _enumerate_tie_patterns(prob, tol, max_steps):
-    """Brute-force fallback over tie patterns for tiny adversarial instances."""
-    per_chain = [_contiguous_partitions(len(chain)) for chain in prob.chains]
-
-    def expand(parts):
-        blocks = []
-        covered = set()
-        for chain, part in zip(prob.chains, parts):
-            for blk in part:
-                blocks.append([chain[i] for i in blk])
-                covered.update(chain[i] for i in blk)
-        for j in range(prob.n_cuts):
-            if j not in covered:
-                blocks.append([j])
-        return blocks
-
-    stack = [[]]
-    for options in per_chain:
-        stack = [prefix + [opt] for prefix in stack for opt in options]
-    best = None
-    for parts in stack:
-        try:
-            sol = _DualSolver(prob, fixed_blocks=expand(parts)).solve(tol, max_steps)
-        except NonConvergence:
-            continue
-        ordered = all(
-            np.all(np.diff(sol.cuts[list(chain)]) >= -1e-8) for chain in prob.chains
-        )
-        if ordered and (best is None or sol.objective < best.objective):
-            best = sol
-    if best is None:
-        raise NonConvergence(max_steps)
-    return best

@@ -39,8 +39,7 @@ def svm_objective(X, y, lambda1, anchor, lambda3, w, b):
     return quad + lambda1 * float(np.clip(margins, 0.0, None).sum())
 
 
-def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, max_steps=None,
-              warm=None):
+def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, warm=None):
     """Fit the gender hyperplane on ``ds`` (labels +-1 in ``ds.gender``).
 
     Parameters
@@ -87,7 +86,7 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, max_step
         chains=(),
         penalty=float(lambda1),
     )
-    sol = solve_hinge_dual(prob, tol=tol, max_steps=max_steps, warm=warm)
+    sol = solve_hinge_dual(prob, tol=tol, warm=warm)
     w = shrink(sol.v)
     b = -float(sol.cuts[0])
     return SvmSolution(

@@ -88,7 +88,7 @@ def _build_terms(X, ranks, genders, num_ranks, split):
 
 
 def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True,
-               tol=1e-6, max_steps=None, warm=None):
+               tol=1e-6, warm=None):
     """Fit the shared direction and the threshold ladder(s) on ``ds``.
 
     With ``split_thresholds`` each gender gets its own ladder; otherwise one
@@ -130,7 +130,7 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
         chains=chains,
         penalty=float(lambda2),
     )
-    sol = solve_hinge_dual(prob, tol=tol, max_steps=max_steps, warm=warm)
+    sol = solve_hinge_dual(prob, tol=tol, warm=warm)
     w = shrink(sol.v)
     if split_thresholds:
         ladder_male = ThresholdLadder(sol.cuts[: K - 1])
@@ -156,9 +156,9 @@ def predict_rank(w, ladder: ThresholdLadder, x):
     w = np.asarray(w, dtype=float)
     if x.shape != w.shape:
         raise DimensionMismatch(f"x has shape {x.shape}, expected {w.shape}")
-    return int(np.searchsorted(ladder.cuts, float(w @ x), side="right")) + 1
+    return int(predict_ranks(w @ x, ladder))
 
 
 def predict_ranks(scores, ladder: ThresholdLadder):
-    """Vectorized threshold decision rule on precomputed scores."""
-    return np.searchsorted(ladder.cuts, np.asarray(scores, dtype=float), side="right") + 1
+    """Smallest rank k whose cut exceeds each score; K when no cut does."""
+    return ladder.cuts.searchsorted(scores, side="right") + 1

@@ -61,11 +61,10 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
     """Train a model on ``ds`` according to ``cfg.hyper.variant``.
 
     The aging state is initialized from one shared-ladder ordinal solve with
-    no coupling (a gender-blind pass), which makes every run deterministic;
-    ``cfg.init_seed`` is reserved for randomized restarts and is unused by
-    this initializer.  The coupled variants then alternate classifier and
-    ordinal solves for ``t_max`` iterations, stopping early once a full
-    iteration changes the objective by less than ``tol`` relatively.
+    no coupling (a gender-blind pass), which makes every run deterministic.
+    The coupled variants then alternate classifier and ordinal solves for
+    ``t_max`` iterations, stopping early once a full iteration changes the
+    objective by less than ``tol`` relatively.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -143,8 +142,7 @@ def predict(model: GenAgeModel, x):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({model.dim},)")
     gender = MALE if float(model.w_g @ x + model.b_g) >= 0.0 else FEMALE
     ladder = model.ladder_male if gender == MALE else model.ladder_female
-    rank = int(np.searchsorted(ladder.cuts, float(model.w_a @ x), side="right")) + 1
-    return gender, rank
+    return gender, int(predict_ranks(model.w_a @ x, ladder))
 
 
 def predict_batch(model: GenAgeModel, X, gender_override=None):

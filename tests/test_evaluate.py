@@ -9,7 +9,10 @@ from genage import (
     generate,
     hyper_grid,
     mae,
+    fit_pls_dataset,
+    predict_pls_batch,
     run_experiment,
+    select_pls_components,
     split_train_test,
     stratified_folds,
 )
@@ -177,3 +180,27 @@ def test_unknown_method_rejected():
     cfg = SynthConfig(samples_per_cell=8, dim=4, seed=10)
     with pytest.raises(ValueError):
         run_experiment(cfg, ["nonsense"], train_per_rank=8, runs=1)
+
+
+def nested_refit_pls_selection(ds, max_components=8, folds=5):
+    """Reference: refit every fold at every component count."""
+    limit = min(ds.dim, ds.n - 1, max_components)
+    fold_idx = stratified_folds(ds, folds)
+    best, best_score = 1, np.inf
+    for n in range(1, limit + 1):
+        scores = []
+        for val in fold_idx:
+            train = ds.subset(np.setdiff1d(np.arange(ds.n), val))
+            test = ds.subset(val)
+            _, ranks = predict_pls_batch(fit_pls_dataset(train, n), test.features)
+            scores.append(mae(ranks, test.age_rank))
+        score = float(np.mean(scores))
+        if score < best_score - 1e-12:
+            best, best_score = n, score
+    return best
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_pls_component_selection_matches_nested_refits(seed):
+    ds = generate(SynthConfig(discrepancy=2.0, samples_per_cell=12, noise_sigma=1.5, seed=seed))
+    assert select_pls_components(ds) == nested_refit_pls_selection(ds)

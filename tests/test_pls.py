@@ -3,7 +3,7 @@ import pytest
 
 from genage import Dataset, fit_pls, fit_pls_dataset, predict_pls, predict_pls_batch
 from genage.errors import BadConfig, DimensionMismatch, RankDeficient
-from genage.pls import PlsModel, pls_outputs
+from genage.pls import PlsModel, pls_outputs, truncate_pls
 
 
 def orthonormal_centered(n, d, seed):
@@ -154,3 +154,22 @@ def test_predict_dimension_check():
     model = fit_pls(X, Y, n_components=2)
     with pytest.raises(DimensionMismatch):
         predict_pls(model, np.ones(4))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_truncated_model_equals_refit(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 7))
+    Y = np.column_stack([np.sign(X[:, 0] + 0.3 * rng.normal(size=40)),
+                         X @ rng.normal(size=7) + 0.2 * rng.normal(size=40)])
+    full = fit_pls(X, Y, n_components=6, num_ranks=5)
+    for n in range(1, 7):
+        cut = truncate_pls(full, n)
+        refit = fit_pls(X, Y, n_components=n, num_ranks=5)
+        assert cut.n_components == n
+        for name in ("x_weights", "x_loadings", "y_loadings", "coefficients"):
+            assert np.array_equal(getattr(cut, name), getattr(refit, name)), name
+    with pytest.raises(BadConfig):
+        truncate_pls(full, 7)
+    with pytest.raises(BadConfig):
+        truncate_pls(full, 0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genage import SynthConfig, generate, smo, solve_svm, solve_svor
+from genage.errors import NonConvergence
 from genage.smo import _line_minimum, _shrink_coefficient
 
 from _oracles import svm_oracle, svor_oracle
@@ -115,3 +116,15 @@ def test_warm_start_hands_over_a_near_optimal_dual_at_large_k(monkeypatch, split
     prob, beta = handed[0]
     best = smo.solve_hinge_dual(prob, tol=1e-10).objective
     assert best - smo._DualSolver(prob, warm=beta)._dual() <= 1e-6 * best
+
+
+# --------------------------------------------------- step budget
+
+def test_exhausted_step_budget_raises_non_convergence(monkeypatch):
+    """A small ordinal instance (64 terms, four-cut chain) with no steps
+    allowed: the typed error reaches the caller with the open gap."""
+    ds = generate(SynthConfig(dim=4, samples_per_cell=4, noise_sigma=1.0, seed=0))
+    monkeypatch.setattr(smo, "default_budget", lambda shape: 0)
+    with pytest.raises(NonConvergence) as raised:
+        solve_svor(ds, 10.0)
+    assert raised.value.gap > 0.0
