@@ -35,7 +35,7 @@ from .pls import PlsModel, fit_pls, fit_pls_dataset, predict_pls, predict_pls_ba
 from .svm import SvmSolution, solve_svm, svm_objective
 from .svor import SvorSolution, ordinal_slacks, predict_rank, predict_ranks, solve_svor, svor_objective
 from .synth import SynthConfig, effective_cuts, generate, true_directions
-from .train import fit, model_objective, objective_value, predict, predict_batch
+from .train import fit, fit_many, model_objective, objective_value, predict, predict_batch
 
 __all__ = [
     "Dataset",
@@ -56,6 +56,7 @@ __all__ = [
     "cross_validate",
     "effective_cuts",
     "fit",
+    "fit_many",
     "fit_pls",
     "fit_pls_dataset",
     "generate",

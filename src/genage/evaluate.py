@@ -20,7 +20,7 @@ from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant
 from .errors import EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
 from .pls import fit_pls_dataset, predict_pls_batch, truncate_pls
 from .synth import SynthConfig, generate
-from .train import fit, predict_batch
+from .train import fit, fit_many, predict_batch  # noqa: F401  (fit: perfbench's tracer wraps it here)
 
 PLS_METHOD = "pls"
 GENAGE_METHODS = tuple(v.value for v in Variant)
@@ -64,13 +64,14 @@ def stratified_folds(ds: Dataset, folds):
             offset += idx.size
     out = [np.flatnonzero(assignment == f) for f in range(folds)]
     for f, val_idx in enumerate(out):
-        train = ds.subset(np.setdiff1d(np.arange(ds.n), val_idx))
         if val_idx.size == 0:
             raise InfeasibleFolds(f"fold {f} is empty")
-        if not (np.any(train.gender == MALE) and np.any(train.gender == FEMALE)):
+        keep = assignment != f
+        gender, rank = ds.gender[keep], ds.age_rank[keep]
+        if not (np.any(gender == MALE) and np.any(gender == FEMALE)):
             raise InfeasibleFolds(f"fold {f} leaves a single gender for training")
-        for gender in (MALE, FEMALE):
-            if np.unique(train.age_rank[train.gender == gender]).size < 2:
+        for g in (MALE, FEMALE):
+            if np.unique(rank[gender == g]).size < 2:
                 raise InfeasibleFolds(f"fold {f} starves a gender below two ranks")
     return out
 
@@ -85,18 +86,18 @@ def cross_validate(ds: Dataset, grid, folds=5):
     candidates = list(grid)
     if not candidates:
         raise EmptyInput("empty hyperparameter grid")
-    fold_idx = stratified_folds(ds, folds)
+    configs = [TrainConfig(hyper=hp, record_trace=False) for hp in candidates]
+    scores = [[] for _ in candidates]
     all_idx = np.arange(ds.n)
-    table = []
-    for hp in candidates:
-        scores = []
-        for val in fold_idx:
-            train = ds.subset(np.setdiff1d(all_idx, val))
-            test = ds.subset(val)
-            model = fit(train, TrainConfig(hyper=hp, record_trace=False))
+    # folds outside, grid inside: one subset pair per fold, and the grid's
+    # fits of a fold share their gender-blind init through fit_many
+    for val in stratified_folds(ds, folds):
+        train = ds.subset(np.setdiff1d(all_idx, val))
+        test = ds.subset(val)
+        for row, model in zip(scores, fit_many(train, configs)):
             _, ranks = predict_batch(model, test.features)
-            scores.append(mae(ranks, test.age_rank))
-        table.append((hp, scores))
+            row.append(mae(ranks, test.age_rank))
+    table = list(zip(candidates, scores))
     order = sorted(
         table,
         key=lambda item: (float(np.mean(item[1])), -item[0].lambda3, item[0].lambda1, item[0].lambda2),
@@ -228,8 +229,7 @@ def _rank_years(ds: Dataset, ranks):
     return years[np.asarray(ranks, dtype=int) - 1]
 
 
-def _evaluate_genage(method, train, test, hyper):
-    model = fit(train, TrainConfig(hyper=hyper.replace(variant=Variant(method)), record_trace=False))
+def _evaluate_genage(model, test):
     pred_gender, pred_rank = predict_batch(model, test.features)
     _, oracle_rank = predict_batch(model, test.features, gender_override=test.gender)
     rec = _base_record(test, pred_gender, pred_rank)
@@ -237,7 +237,7 @@ def _evaluate_genage(method, train, test, hyper):
     rec.angle_deg = angle_deg(model.w_g, model.w_a)
     rec.cuts_male = tuple(float(c) for c in model.ladder_male.cuts)
     rec.cuts_female = tuple(float(c) for c in model.ladder_female.cuts)
-    return rec, model
+    return rec
 
 
 def _evaluate_pls(train, test, n_components):
@@ -247,7 +247,7 @@ def _evaluate_pls(train, test, n_components):
     pred_gender, pred_rank = predict_pls_batch(model, test.features)
     rec = _base_record(test, pred_gender, pred_rank)
     rec.angle_deg = angle_deg(model.coefficients[:, 0], model.coefficients[:, 1])
-    return rec, model
+    return rec
 
 
 def _base_record(test, pred_gender, pred_rank):
@@ -309,15 +309,18 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0,
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {ALL_METHODS}")
     reports = {m: EvalReport(method=m, runs=runs, train_per_rank=train_per_rank) for m in methods}
+    variants = [m for m in methods if m != PLS_METHOD]
+    configs = [TrainConfig(hyper=hyper.replace(variant=Variant(m)), record_trace=False) for m in variants]
     root = np.random.SeedSequence(seed)
     for run, child in enumerate(root.spawn(runs)):
         rng = np.random.default_rng(child)
         train, test = split_train_test(ds, train_per_rank, rng)
+        models = dict(zip(variants, fit_many(train, configs)))
         for method in methods:
             if method == PLS_METHOD:
-                rec, _ = _evaluate_pls(train, test, pls_components)
+                rec = _evaluate_pls(train, test, pls_components)
             else:
-                rec, _ = _evaluate_genage(method, train, test, hyper)
+                rec = _evaluate_genage(models[method], test)
             rec.run = run
             reports[method].records.append(rec)
     return reports

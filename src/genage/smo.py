@@ -128,7 +128,11 @@ def _line_minimum(r, q, mu, lam, a, b):
         times = np.concatenate([-r / q, (mu - r) / q])
     kq2 = k * q * q
     d_slope = np.concatenate([np.where(rising, kq2, -kq2), np.where(rising, -kq2, kq2)])
-    ahead = (times > 0.0) & np.isfinite(times)  # a tiny q may never get there
+    # each smoothed-hinge slope lies in [0, 1], so phi' >= a + b*t + lam*sum(min(q, 0))
+    # and the minimiser lies below t_hi; later breakpoints (a tiny q puts them
+    # near the float maximum, where phi' would overflow) cannot matter
+    t_hi = (lam * np.clip(-q, 0.0, None).sum() - a) / b
+    ahead = (times > 0.0) & (times < t_hi)
     times, d_slope = times[ahead], d_slope[ahead]
     order = np.argsort(times)
     times, d_slope = times[order], d_slope[order]
@@ -137,10 +141,9 @@ def _line_minimum(r, q, mu, lam, a, b):
     if crossed.any():
         j = int(np.argmax(crossed))
         lo, hi = (times[j - 1] if j else 0.0), times[j]
-        mid = 0.5 * (lo + hi)
     else:
-        lo, hi = (times[-1] if times.size else 0.0), np.inf
-        mid = 2.0 * lo + 1.0
+        lo, hi = (times[-1] if times.size else 0.0), t_hi
+    mid = 0.5 * (lo + hi)
     x = r + mid * q
     upper = x >= mu
     intercept, slope = line((x > 0.0) & ~upper, upper)
@@ -192,23 +195,27 @@ def _huber_warm_start(prob):
                 converged = True
                 break
             # Hessian of the quadratic-zone terms, tau_t^2 = 1:
-            # [z z^T, -z e_cut^T; -e_cut z^T, e_cut e_cut^T] per term
+            # [z z^T, -z e_cut^T; -e_cut z^T, e_cut e_cut^T] per term.  Its cut
+            # block is diagonal, so the cuts are eliminated and only the d x d
+            # Schur complement is factorized.  Written as centred within-cut
+            # scatter plus a ridge-weighted scatter of the cut means, it is a
+            # sum of Gram matrices and so stays >= I in floating point too.
             quad_zone = (r > 0.0) & (r < mu)
             coef = lam / mu
-            zq = z[quad_zone]
-            cross = np.bincount(cross_index[np.repeat(quad_zone, d)], zq.ravel(), n_cuts * d)
-            h = np.empty((d + n_cuts, d + n_cuts))
-            h[:d, :d] = np.eye(d) + coef * (zq.T @ zq)
-            h[d:, :d] = -coef * cross.reshape(n_cuts, d)
-            h[:d, d:] = h[d:, :d].T
-            h[d:, d:] = np.diag(coef * np.bincount(cut[quad_zone], minlength=n_cuts) + ridge)
-            try:
-                step = np.linalg.solve(h, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(h, -grad, rcond=None)[0]
-            if grad @ step > 0:
-                step = -grad
-            dv, dc = step[:d], step[d:]
+            zq, cq = z[quad_zone], cut[quad_zone]
+            counts = np.bincount(cq, minlength=n_cuts)
+            sums = np.bincount(cross_index[np.repeat(quad_zone, d)], zq.ravel(),
+                               n_cuts * d).reshape(n_cuts, d)
+            diag = coef * counts + ridge
+            means = sums / np.maximum(counts, 1)[:, None]
+            zc = zq - means[cq]
+            schur = np.eye(d) + coef * (zc.T @ zc) + (means.T * (ridge * coef * counts / diag)) @ means
+            g_v, g_c = grad[:d], grad[d:]
+            dv = np.linalg.solve(schur, -g_v - coef * (sums.T @ (g_c / diag)))
+            dc = (coef * (sums @ dv) - g_c) / diag
+            if g_v @ dv + g_c @ dc > 0:
+                dv, dc = -g_v, -g_c
+            step = np.concatenate([dv, dc])
             q = tau * (z @ dv - dc[cut])
             t = _line_minimum(r, q, mu, lam, v @ dv + ridge * (c @ dc), dv @ dv + ridge * (dc @ dc))
             trial = theta + t * step
@@ -606,12 +613,16 @@ def solve_hinge_dual(prob, tol=1e-6, warm=None):
     """
     if prob.z.shape[0] > 96 and prob.penalty > 0.0:
         # a caller-provided warm start can be arbitrarily stale after the
-        # anchor moved; keep whichever dual point certifies the highest value
-        # (the zero vector is a safe floor)
-        candidates = [_huber_warm_start(prob), None]
+        # anchor moved; keep whichever dual point certifies the highest value,
+        # with the zero vector (dual exactly 0) as the floor.  Ties keep the
+        # earlier of the Huber start, zero and the caller's start
+        solver = _DualSolver(prob, warm=_huber_warm_start(prob))
         if warm is not None:
-            candidates.append(warm)
-        solver = max((_DualSolver(prob, warm=c) for c in candidates), key=lambda s: s._dual())
+            other = _DualSolver(prob, warm=warm)
+            if other._dual() > max(solver._dual(), 0.0):
+                solver = other
+        if solver._dual() < 0.0:
+            solver = _DualSolver(prob)
     else:
         solver = _DualSolver(prob, warm=warm)
     return solver.solve(tol)

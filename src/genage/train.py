@@ -9,7 +9,8 @@ The joint objective
 is bi-convex in {w_g, b_g} and {w_a, ladders}, so training alternates the
 two exact convex subproblem solvers.  Four variants share the machinery:
 
-* ``direct``: lam3 = 0, one shared ladder, single pass (nothing couples);
+* ``direct``: lam3 = 0, one shared ladder, single pass (nothing couples,
+  so the gender-blind init is already its ordinal solution);
 * ``2step``: lam3 = 0, gender-split ladders, single pass;
 * ``st``:     coupled, one shared ladder;
 * ``tt``:     coupled, gender-split ladders.
@@ -66,20 +67,41 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
     ``t_max`` iterations, stopping early once a full iteration changes the
     objective by less than ``tol`` relatively.
     """
-    if cfg is None:
-        cfg = TrainConfig()
+    return fit_many(ds, [TrainConfig() if cfg is None else cfg])[0]
+
+
+def fit_many(ds: Dataset, configs) -> list[GenAgeModel]:
+    """Train one model per config on the same ``ds``, in order.
+
+    The gender-blind init depends only on ``lambda2`` and ``tol``, so it is
+    solved once per distinct pair and shared by every config that has it.
+    The init is one deterministic solve, so each model is identical to the
+    one a separate :func:`fit` returns.
+    """
+    configs = list(configs)
+    if configs and not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
+        variant = configs[0].hyper.variant
+        raise DegenerateGender(f"variant {variant.value} needs both genders in the training data")
+    inits = {}
+    models = []
+    for cfg in configs:
+        key = (cfg.hyper.lambda2, cfg.hyper.tol)
+        if key not in inits:
+            inits[key] = solve_svor(ds, key[0], anchor=None, lambda3=0.0,
+                                    split_thresholds=False, tol=key[1])
+        models.append(_alternate(ds, cfg, inits[key]))
+    return models
+
+
+def _alternate(ds: Dataset, cfg: TrainConfig, init) -> GenAgeModel:
+    """Run ``cfg``'s alternation from the gender-blind ``init`` solve."""
     hyper = cfg.hyper
     variant = hyper.variant
-    if not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
-        raise DegenerateGender(f"variant {variant.value} needs both genders in the training data")
-
     decoupled = variant in (Variant.DIRECT, Variant.TWO_STEP)
     split = variant in (Variant.TT, Variant.TWO_STEP)
     eff = hyper.replace(lambda3=0.0) if decoupled else hyper
     t_max = 1 if decoupled else hyper.t_max
 
-    init = solve_svor(ds, eff.lambda2, anchor=None, lambda3=0.0,
-                      split_thresholds=False, tol=eff.tol)
     w_g = np.zeros(ds.dim)
     b_g = 0.0
     w_a = init.w
@@ -100,6 +122,11 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
         else:
             trace.append(trace[-1])
 
+        if variant is Variant.DIRECT:
+            # no coupling and one shared ladder: the ordinal half-step would
+            # pose the init problem again, so the init is its solution
+            trace.append(trace[-1])
+            continue
         svor = solve_svor(ds, eff.lambda2, anchor=w_g, lambda3=eff.lambda3,
                           split_thresholds=split, tol=eff.tol, warm=warm_svor)
         warm_svor = svor.dual_state

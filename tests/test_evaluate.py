@@ -110,6 +110,15 @@ def test_tie_break_prefers_larger_lambda3():
     assert best.lambda3 == 100.0
 
 
+def test_cross_validate_solves_one_init_per_fold(svor_calls):
+    ds = generate(SynthConfig(samples_per_cell=10, dim=5, seed=4))
+    grid = hyper_grid(lambda3s=(10.0, 100.0, 1000.0), t_max=1)
+    grid += [HyperParams(variant=v, t_max=1) for v in ("direct", "2step", "st")]
+    _, table = cross_validate(ds, grid, folds=3)
+    assert sum(init for _, init in svor_calls) == 3
+    assert [len(scores) for _, scores in table] == [3] * len(grid)
+
+
 def test_coupling_wins_cv_on_discrepant_data():
     ds = generate(SynthConfig(discrepancy=2.0, seed=42))
     grid = hyper_grid(lambda1s=(10.0,), lambda2s=(10.0,), lambda3s=(0.0, 1000.0))
@@ -174,6 +183,15 @@ def test_report_contains_ladders_and_diagnostics():
     for rec in reports["st"].records:
         assert rec.cuts_male is not None
         assert np.all(np.diff(rec.cuts_male) >= 0)
+
+
+def test_experiment_solves_one_init_per_split(svor_calls):
+    cfg = SynthConfig(samples_per_cell=12, dim=6, seed=9)
+    hp = HyperParams(lambda1=10.0, lambda2=10.0, lambda3=100.0, t_max=1)
+    reports = run_experiment(cfg, ["direct", "2step", "pls", "st", "tt"], train_per_rank=12, runs=2,
+                             hyper=hp, seed=1, pls_components=3)
+    assert sum(init for _, init in svor_calls) == 2
+    assert all(len(report.records) == 2 for report in reports.values())
 
 
 def test_unknown_method_rejected():

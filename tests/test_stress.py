@@ -44,20 +44,48 @@ def scaled(factor):
     return make
 
 
+def ages_in_years():
+    """Ages 16-77 used verbatim as ranks, as the CLI reads small integer
+    ages: K=77 with ranks 1-15 empty, n=992, d=20."""
+    base = generate(SynthConfig(dim=20, num_ranks=62, male_cut_centers=tuple(np.linspace(-15.25, 15.25, 61)),
+                                samples_per_cell=8, discrepancy=1.0, seed=9))
+    return Dataset(base.features, base.gender, base.age_rank + 15, num_ranks=77)
+
+
+def wide():
+    """d=300 with n=100."""
+    return generate(SynthConfig(dim=300, samples_per_cell=10, discrepancy=2.0, seed=13))
+
+
+def constant_but_gender():
+    """Every feature constant except one column that holds the gender."""
+    rng = np.random.default_rng(17)
+    n = 200
+    gender = np.repeat([1, -1], n // 2)
+    return Dataset(np.column_stack([gender, np.full((n, 4), 3.0)]), gender,
+                   rng.integers(1, 6, n), num_ranks=5)
+
+
 CASES = {
     "duplicated-x5": duplicated_rows,
     "pure-noise": pure_noise,
     "K30": many_ranks,
     "scaled-1e4": scaled(1e4),
     "scaled-1e-4": scaled(1e-4),
+    "years-K77": ages_in_years,
+    "d300-n100": wide,
+    "extreme-lambdas": lambda: generate(SynthConfig(discrepancy=2.0, seed=19)),
+    "constant-but-gender": constant_but_gender,
 }
+# trade-off weights other than the defaults, per case
+LAMBDAS = {"extreme-lambdas": dict(lambda1=1e4, lambda2=1e4, lambda3=1e7)}
 
 
 @pytest.mark.parametrize("variant", ["tt", "st"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stress_fit_is_certified_monotone_and_bounded(case, variant, monkeypatch):
     ds = CASES[case]()
-    hyper = HyperParams(variant=variant)
+    hyper = HyperParams(variant=variant, **LAMBDAS.get(case, {}))
     solutions = []
     for module in (genage.svm, genage.svor):
         solve = module.solve_hinge_dual

@@ -11,6 +11,7 @@ from genage import (
     Variant,
     angle_deg,
     fit,
+    fit_many,
     generate,
     model_objective,
     objective_value,
@@ -210,3 +211,29 @@ def test_model_objective_matches_trace_tail():
     assert model_objective(ds, hp.replace(lambda3=0.0), model) == pytest.approx(
         model.objective_trace[-1], rel=1e-9
     )
+
+
+# ------------------------------------------------------- shared init solves
+
+def test_direct_runs_one_ordinal_solve(svor_calls):
+    model = fit(small_synth(), TrainConfig(hyper=hyper(variant=Variant.DIRECT)))
+    assert svor_calls == [(10.0, True)]
+    trace = model.objective_trace
+    assert len(trace) == 3 and trace[2] == trace[1] <= trace[0]
+
+
+def test_fit_many_shares_the_init_and_matches_separate_fits(svor_calls):
+    ds = small_synth(discrepancy=1.5)
+    configs = [TrainConfig(hyper=HyperParams(lambda1=10.0, lambda2=lam2, lambda3=lam3, t_max=2, variant=v))
+               for v in Variant for lam3 in (10.0, 1000.0) for lam2 in (10.0, 30.0)]
+    separate = [fit(ds, cfg) for cfg in configs]
+    svor_calls.clear()
+    together = fit_many(ds, configs)
+    assert sorted(lam2 for lam2, init in svor_calls if init) == [10.0, 30.0]
+    for a, b in zip(separate, together, strict=True):
+        assert a.variant == b.variant
+        assert np.array_equal(a.w_g, b.w_g) and a.b_g == b.b_g
+        assert np.array_equal(a.w_a, b.w_a)
+        assert np.array_equal(a.ladder_male.cuts, b.ladder_male.cuts)
+        assert np.array_equal(a.ladder_female.cuts, b.ladder_female.cuts)
+        assert a.objective_trace == b.objective_trace
