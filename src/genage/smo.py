@@ -93,6 +93,32 @@ _POLISH_CAP = 600  # largest working set the polish factorizes
 _POLISH_RECRUIT = 48  # bound-sitting KKT violators added to the first working set
 
 
+def _kinks(r, q, mu, t_hi):
+    """Where the residuals r + t*q enter and leave the quadratic zone (0, mu).
+
+    Returns the mask of terms inside the zone just after t = 0 (a residual
+    on a zone edge goes the way q points; at theta = 0 and mu = 1 every
+    residual equals mu exactly), and the unsorted crossings in (0, t_hi):
+    their times, the crossing terms and the sign of the change in phi''s
+    slope, +1 for a residual entering the zone and -1 for one leaving it.
+    ``t_hi`` is a scalar or one bound per term.  The tests are made on
+    distances along q, so no time outside the window is ever formed and a q
+    of 0 (no crossing) or near 0 (a time near the float maximum) needs no
+    special case.
+    """
+    sign = np.sign(q)
+    aq = sign * q
+    dist = np.subtract.outer((0.0, mu), r)
+    dist *= sign  # distances along q to the edges 0 and mu, times |q|
+    # a residual is in the zone when it has passed the nearer edge but not the farther
+    inside = (dist.min(axis=0) <= 0.0) & (dist.max(axis=0) > 0.0)
+    ahead = np.flatnonzero((dist > 0.0) & (dist < t_hi * aq))
+    term = ahead % r.size
+    # the nearer edge is 0 for a rising residual and mu for a falling one
+    entering = (ahead < r.size) == (sign[term] > 0.0)
+    return inside, dist.ravel()[ahead] / aq[term], term, np.where(entering, 1.0, -1.0)
+
+
 def _line_minimum(r, q, mu, lam, a, b):
     """Exact minimiser over t >= 0 of the convex piecewise quadratic
 
@@ -101,53 +127,104 @@ def _line_minimum(r, q, mu, lam, a, b):
     where H is the hinge smoothed over width mu (0 below 0, x**2/(2*mu) up
     to mu, x - mu/2 beyond) and b > 0.  phi' is continuous and piecewise
     linear, with breakpoints where a residual crosses 0 or mu.  Sorting them
-    and accumulating the slope changes gives phi' at every breakpoint in one
-    pass; the segment holding its first sign change is then rebuilt from r
-    and q directly, so the accumulated roundoff never enters the answer.
+    and accumulating the slope changes (+-q**2 as a residual enters or
+    leaves the quadratic zone) gives phi' at every breakpoint in one pass;
+    the segment holding its first sign change is then rebuilt from r and q
+    directly, so the accumulated roundoff never enters the answer.
     """
-    moving = q != 0.0
-    r, q = r[moving], q[moving]
     k = lam / mu
-
-    def line(quad, upper):
-        """Intercept and slope of phi' with the given terms in each zone."""
-        return (a + lam * q[upper].sum() + k * (q[quad] @ r[quad]),
-                b + k * (q[quad] @ q[quad]))
-
-    # zones just after t = 0: a residual on a zone edge goes the way q points
-    # (at theta = 0 and mu = 1 every residual equals mu exactly)
-    rising = q > 0.0
-    above_zero = (r > 0.0) | ((r == 0.0) & rising)
-    upper = (r > mu) | ((r == mu) & rising)
-    intercept, slope = line(above_zero & ~upper, upper)
+    intercept = a + k * (q @ np.minimum(np.maximum(r, 0.0), mu))  # phi'(0)
     if intercept >= 0.0:
         return 0.0
-    # a residual crossing 0 or mu changes the slope of phi' by +-k*q**2; phi'
-    # is continuous, so its intercept changes by minus that times the crossing
-    with np.errstate(over="ignore"):
-        times = np.concatenate([-r / q, (mu - r) / q])
-    kq2 = k * q * q
-    d_slope = np.concatenate([np.where(rising, kq2, -kq2), np.where(rising, -kq2, kq2)])
     # each smoothed-hinge slope lies in [0, 1], so phi' >= a + b*t + lam*sum(min(q, 0))
-    # and the minimiser lies below t_hi; later breakpoints (a tiny q puts them
-    # near the float maximum, where phi' would overflow) cannot matter
-    t_hi = (lam * np.clip(-q, 0.0, None).sum() - a) / b
-    ahead = (times > 0.0) & (times < t_hi)
-    times, d_slope = times[ahead], d_slope[ahead]
+    # and the minimiser lies below t_hi; later breakpoints cannot matter
+    t_hi = -(lam * np.minimum(q, 0.0).sum() + a) / b
+    inside, times, term, sign = _kinks(r, q, mu, t_hi)
+    kq2 = k * q * q
+    slope = b + kq2 @ inside
+    t = -intercept / slope
+    if not times.size or t <= times.min():
+        return float(min(t, t_hi))  # the first segment's line is exact
     order = np.argsort(times)
-    times, d_slope = times[order], d_slope[order]
-    dphi = intercept - np.cumsum(d_slope * times) + (slope + np.cumsum(d_slope)) * times
-    crossed = dphi >= 0.0
-    if crossed.any():
-        j = int(np.argmax(crossed))
+    times, change = times[order], (kq2[term] * sign)[order]
+    # phi' is continuous, so a slope change at time s moves the intercept by
+    # minus its product with s
+    dphi = intercept - np.cumsum(change * times) + (slope + np.cumsum(change)) * times
+    j = int(np.argmax(dphi >= 0.0))
+    if dphi[j] >= 0.0:
         lo, hi = (times[j - 1] if j else 0.0), times[j]
     else:
-        lo, hi = (times[-1] if times.size else 0.0), t_hi
+        lo, hi = times[-1], t_hi
     mid = 0.5 * (lo + hi)
     x = r + mid * q
-    upper = x >= mu
-    intercept, slope = line((x > 0.0) & ~upper, upper)
-    return float(np.clip(-intercept / slope, lo, hi))
+    deriv = a + b * mid + k * (q @ np.minimum(np.maximum(x, 0.0), mu))
+    slope = b + kq2 @ ((x > 0.0) & (x < mu))
+    return float(min(max(mid - deriv / slope, lo), hi))
+
+
+def _segment_minima(r, q, seg, mu, lam, a, b):
+    """Exact minimisers over t >= 0 of ``len(a)`` independent problems of
+    :func:`_line_minimum`'s form, problem s holding the terms with seg == s:
+
+        phi_s(t) = a[s]*t + 0.5*b[s]*t**2 + lam * sum_{seg_i = s} H(r_i + t*q_i).
+
+    All breakpoints are sorted once by (problem, time), and running sums
+    restarted at each problem's first breakpoint give every phi_s' at its
+    breakpoints in one pass; each problem's segment holding its first sign
+    change is then rebuilt from r and q as in :func:`_line_minimum`.
+    """
+    n = a.size
+    k = lam / mu
+    intercept = a + k * np.bincount(seg, q * np.minimum(np.maximum(r, 0.0), mu), n)
+    t_hi = -(lam * np.bincount(seg, np.minimum(q, 0.0), n) + a) / b
+    inside, times, term, sign = _kinks(r, q, mu, t_hi[seg])
+    kq2 = k * q * q
+    slope = b + np.bincount(seg, kq2 * inside, n)
+    owner = seg[term]
+    order = np.lexsort((times, owner))
+    times, owner, change = times[order], owner[order], (kq2[term] * sign)[order]
+    bounds = np.searchsorted(owner, np.arange(n + 1))
+    start, stop = bounds[:-1], bounds[1:]
+
+    def running(x):
+        """Cumulative sums restarted at each problem's first breakpoint."""
+        total = np.cumsum(x)
+        return total - (total - x)[start[owner]]
+
+    dphi = intercept[owner] - running(change * times) + (slope[owner] + running(change)) * times
+    # phi_s' rises with t, so its breakpoints with phi_s' < 0 come first
+    first = start + np.bincount(owner[dphi < 0.0], minlength=n)
+    padded = np.concatenate(([0.0], times, [0.0]))
+    lo = np.where(first > start, padded[first], 0.0)
+    hi = np.where(first < stop, padded[first + 1], t_hi)
+    mid = 0.5 * (lo + hi)
+    x = r + mid[seg] * q
+    deriv = a + b * mid + k * np.bincount(seg, q * np.minimum(np.maximum(x, 0.0), mu), n)
+    slope = b + np.bincount(seg, kq2 * ((x > 0.0) & (x < mu)), n)
+    return np.where(intercept >= 0.0, 0.0, np.minimum(np.maximum(mid - deriv / slope, lo), hi))
+
+
+def _recentre(r, c, tau, cut, chosen, mu, lam, ridge):
+    """Move each chosen cut to the exact minimum of the smoothed objective
+    over its own value, with v and every other cut fixed.
+
+    The objective's part in cut j is lam * sum_{cut_t = j} H(r_t - tau_t*dc)
+    + 0.5*ridge*(c_j + dc)**2, and no two cuts share a term, so the cuts are
+    independent problems of :func:`_segment_minima`, each searched in its
+    descent direction.  Returns the new residuals and cut values.
+    """
+    n = int(np.count_nonzero(chosen))
+    terms = chosen[cut]
+    seg = (np.cumsum(chosen) - 1)[cut[terms]]
+    r_s, tau_s, c_s = r[terms], tau[terms], c[chosen]
+    deriv = ridge * c_s - (lam / mu) * np.bincount(seg, tau_s * np.minimum(np.maximum(r_s, 0.0), mu), n)
+    toward = -np.sign(deriv)
+    q = -tau_s * toward[seg]
+    t = _segment_minima(r_s, q, seg, mu, lam, ridge * c_s * toward, np.full(n, ridge))
+    r, c = r.copy(), c.copy()
+    r[terms] = r_s + t[seg] * q
+    c[chosen] = c_s + t * toward
+    return r, c
 
 
 def _huber_warm_start(prob):
@@ -157,14 +234,19 @@ def _huber_warm_start(prob):
     Huber-smoothed hinge (path-following the smoothing width mu from 1 down
     to ``_MU_FLOOR``) reach the optimum basin in a few dozen cheap
     iterations.  Each step goes to the exact minimiser along the Newton
-    direction (:func:`_line_minimum`): a cut with no term in the quadratic
-    zone has only the tiny ridge as curvature, so the full Newton step can
-    overshoot by orders of magnitude.  The Huber gradient weights are box-
-    and balance-feasible duals, which hands the exact dual ascent a starting
-    point with an already tiny gap.  Duals are extracted at the deepest
-    smoothing level whose gradient actually converged, since conditioning
-    eventually defeats the Newton solves; a level also ends, unconverged,
-    when a step raises the value by more than roundoff.
+    direction (:func:`_line_minimum`).  A cut with no term in the quadratic
+    zone has only the tiny ridge as curvature, so the Newton step would move
+    it by orders of magnitude too far and the line search would stop as soon
+    as one of its terms reached the zone; such starved cuts are first moved
+    to the exact minimum over their own values with v fixed
+    (:func:`_recentre`), an exact block-coordinate step.  The Huber
+    gradient weights are box- and balance-feasible duals, which hands the
+    exact dual ascent a starting point with an already tiny gap.  Duals are
+    extracted at the deepest smoothing level whose gradient actually
+    converged, since conditioning eventually defeats the Newton solves; a
+    level also ends, unconverged, when a step raises the value by more than
+    roundoff.  Residuals are updated along each step and recomputed from
+    (v, c) at every level's end.
     """
     z = np.asarray(prob.z, dtype=float)
     tau = np.asarray(prob.tau, dtype=float)
@@ -173,63 +255,111 @@ def _huber_warm_start(prob):
     T, d = z.shape
     n_cuts = prob.n_cuts
     ridge = 1e-8  # keeps one-sided cuts finite; duals are refined afterwards
-    theta = np.zeros(d + n_cuts)
+    gtol = 1e-8 * max(1.0, lam * np.sqrt(T))
+    eye = np.eye(d)
+    v, c = np.zeros(d), np.zeros(n_cuts)
+    r = np.ones(T)
     best_beta = np.zeros(T)
     cross_index = (cut[:, None] * d + np.arange(d)).ravel()
 
-    def pieces(th):
-        v, c = th[:d], th[d:]
-        r = 1.0 + tau * (z @ v - c[cut])
-        loss = np.where(r >= mu, r - 0.5 * mu, 0.5 * np.clip(r, 0.0, None) ** 2 / mu)
-        return r, 0.5 * v @ v + lam * loss.sum() + 0.5 * ridge * c @ c
+    def smoothed(r, v, c):
+        """Residuals clipped to [0, mu] and the smoothed value."""
+        p = np.minimum(np.maximum(r, 0.0), mu)
+        return p, 0.5 * (v @ v) + (lam / mu) * (p @ (r - 0.5 * p)) + 0.5 * ridge * (c @ c)
+
+    def gradient(p, v, c):
+        tw = tau * p
+        return v + (lam / mu) * (z.T @ tw), ridge * c - (lam / mu) * np.bincount(cut, tw, n_cuts)
+
+    def quadratic_zone(r):
+        """Terms with 0 < r < mu and their count per cut."""
+        inside = (r > 0.0) & (r < mu)
+        return inside, np.bincount(cut[inside], minlength=n_cuts)
 
     mu = 1.0
     while mu >= _MU_FLOOR * 0.99:
         converged = False
-        r, value = pieces(theta)
+        p, value = smoothed(r, v, c)
         for _ in range(_NEWTON_CAP):
-            v, c = theta[:d], theta[d:]
-            tw = tau * np.clip(r / mu, 0.0, 1.0)
-            grad = np.concatenate([v + lam * (z.T @ tw), -lam * np.bincount(cut, tw, n_cuts) + ridge * c])
-            if np.linalg.norm(grad) <= 1e-8 * max(1.0, lam * np.sqrt(T)):
+            g_v, g_c = gradient(p, v, c)
+            if np.sqrt(g_v @ g_v + g_c @ g_c) <= gtol:
                 converged = True
                 break
+            quad_zone, counts = quadratic_zone(r)
+            starved = (counts == 0) & (g_c != 0.0)
+            if starved.any():
+                r, c = _recentre(r, c, tau, cut, starved, mu, lam, ridge)
+                p, value = smoothed(r, v, c)
+                g_v, g_c = gradient(p, v, c)
+                quad_zone, counts = quadratic_zone(r)
             # Hessian of the quadratic-zone terms, tau_t^2 = 1:
             # [z z^T, -z e_cut^T; -e_cut z^T, e_cut e_cut^T] per term.  Its cut
             # block is diagonal, so the cuts are eliminated and only the d x d
             # Schur complement is factorized.  Written as centred within-cut
             # scatter plus a ridge-weighted scatter of the cut means, it is a
             # sum of Gram matrices and so stays >= I in floating point too.
-            quad_zone = (r > 0.0) & (r < mu)
             coef = lam / mu
             zq, cq = z[quad_zone], cut[quad_zone]
-            counts = np.bincount(cq, minlength=n_cuts)
             sums = np.bincount(cross_index[np.repeat(quad_zone, d)], zq.ravel(),
                                n_cuts * d).reshape(n_cuts, d)
             diag = coef * counts + ridge
             means = sums / np.maximum(counts, 1)[:, None]
             zc = zq - means[cq]
-            schur = np.eye(d) + coef * (zc.T @ zc) + (means.T * (ridge * coef * counts / diag)) @ means
-            g_v, g_c = grad[:d], grad[d:]
+            schur = eye + coef * (zc.T @ zc) + (means.T * (ridge * coef * counts / diag)) @ means
             dv = np.linalg.solve(schur, -g_v - coef * (sums.T @ (g_c / diag)))
             dc = (coef * (sums @ dv) - g_c) / diag
             if g_v @ dv + g_c @ dc > 0:
                 dv, dc = -g_v, -g_c
-            step = np.concatenate([dv, dc])
             q = tau * (z @ dv - dc[cut])
             t = _line_minimum(r, q, mu, lam, v @ dv + ridge * (c @ dc), dv @ dv + ridge * (dc @ dc))
-            trial = theta + t * step
-            r_trial, trial_value = pieces(trial)
+            v_t, c_t, r_t = v + t * dv, c + t * dc, r + t * q
+            p_t, value_t = smoothed(r_t, v_t, c_t)
             # a step that only carries a residual across a zone edge may lower
             # the value by less than roundoff, yet it changes the next Hessian
-            if trial_value > value + 1e-14 * max(1.0, abs(value)):
+            if value_t > value + 1e-14 * max(1.0, abs(value)):
                 break
-            theta, r, value = trial, r_trial, trial_value
+            v, c, r, p, value = v_t, c_t, r_t, p_t, value_t
         if not converged:
             break
-        best_beta = lam * np.clip(r / mu, 0.0, 1.0)
+        r = 1.0 + tau * (z @ v - c[cut])
+        best_beta = (lam / mu) * np.minimum(np.maximum(r, 0.0), mu)
         mu *= 0.1
     return best_beta
+
+
+def _face_step(z, tau, block, grad):
+    """Newton step of the dual on the face of the working set, or its ascent ray.
+
+    The dual's Hessian over the working set is -G^T G with G = (tau_t z_t)
+    as columns, and the block balances sum_{t in b} tau_t beta_t = 0 confine
+    the step to the range of P = I - sum_b t_b t_b^T / |t_b|^2, where t_b is
+    tau on block b.  The blocks have disjoint supports, so P centres each
+    block: the columns of G P are tau_t (z_t - mean of z over t's block).
+    A thin SVD G P = U S V^T (d x f, rank at most d) gives the minimum-norm
+    Newton step V S^-2 V^T grad and the ray (P - V V^T) grad, along which
+    the dual rises linearly; it is taken of (G P)^T, which is tall when the
+    working set outnumbers the features.  Returns (step, True) for a ray
+    that is not negligible, (step, False) for the Newton step, and
+    (None, False) when the balances leave no freedom.
+    """
+    f = tau.size
+    _, block = np.unique(block, return_inverse=True)
+    sizes = np.bincount(block)
+    if sizes.size == f:
+        return None, False  # one dual per block: the balances fix them all
+    means = np.zeros((sizes.size, z.shape[1]))
+    np.add.at(means, block, z)
+    gp = (z - means[block] / sizes[block, None]) * tau[:, None]  # (G P)^T
+    pgrad = grad - tau * (np.bincount(block, tau * grad) / sizes)[block]
+    basis, sv, _ = np.linalg.svd(gp, full_matrices=False)  # V of G P, as columns
+    # the rank cut of a least-squares solve of the reduced (f - blocks)^2 system
+    sv = sv[sv ** 2 > np.finfo(float).eps * (f - sizes.size) * sv[0] ** 2]
+    basis = basis[:, : sv.size]
+    along = grad @ basis
+    ray = pgrad - basis @ along
+    if np.linalg.norm(ray) > 1e-9 * max(1.0, float(np.linalg.norm(pgrad))):
+        return ray, True
+    return basis @ (along / sv ** 2), False
 
 
 class _DualSolver:
@@ -402,29 +532,9 @@ class _DualSolver:
                 return
             tau_w = self.tau[work]
             grad = 1.0 + tau_w * self.s[work]  # dD/dbeta over the working set
-            blocks_here = np.unique(self.block_id[work])
-            c_mat = np.zeros((blocks_here.size, f))
-            for row, bi in enumerate(blocks_here):
-                c_mat[row, self.block_id[work] == bi] = tau_w[self.block_id[work] == bi]
-            # orthonormal basis of the balance null space
-            _, sv, vt = np.linalg.svd(c_mat, full_matrices=True)
-            rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
-            nb = vt[rank:].T
-            if nb.shape[1] == 0:
+            step, unbounded = _face_step(self.z[work], tau_w, self.block_id[work], grad)
+            if step is None:
                 return
-            gn = nb.T @ grad
-            g_rows = tau_w[:, None] * self.z[work]
-            gn_mat = g_rows.T @ nb            # d x (f - rank)
-            h = gn_mat.T @ gn_mat
-            y = np.linalg.lstsq(h, gn, rcond=None)[0]
-            ray = gn - h @ y
-            ray_norm = float(np.linalg.norm(ray))
-            if ray_norm > 1e-9 * max(1.0, float(np.linalg.norm(gn))):
-                step = nb @ ray               # linear ascent direction, curvature ~ 0
-                unbounded = True
-            else:
-                step = nb @ y                 # Newton displacement on the face
-                unbounded = False
             size = float(np.abs(step).max(initial=0.0))
             if size <= 1e-13 * max(1.0, lam):
                 return

@@ -75,31 +75,45 @@ def fit_many(ds: Dataset, configs) -> list[GenAgeModel]:
 
     The gender-blind init depends only on ``lambda2`` and ``tol``, so it is
     solved once per distinct pair and shared by every config that has it.
-    The init is one deterministic solve, so each model is identical to the
-    one a separate :func:`fit` returns.
+    The first classifier half-step then depends only on that init and on
+    ``lambda1`` and the effective ``lambda3`` (0 for the decoupled variants,
+    so ``direct`` and ``2step`` pose the same problem), and is shared the
+    same way.  Every shared solve is one deterministic call, so each model
+    is identical to the one a separate :func:`fit` returns.
     """
     configs = list(configs)
     if configs and not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
         variant = configs[0].hyper.variant
         raise DegenerateGender(f"variant {variant.value} needs both genders in the training data")
-    inits = {}
+    inits, first_svms = {}, {}
     models = []
     for cfg in configs:
-        key = (cfg.hyper.lambda2, cfg.hyper.tol)
+        hyper = _effective(cfg.hyper)
+        key = (hyper.lambda2, hyper.tol)
         if key not in inits:
             inits[key] = solve_svor(ds, key[0], anchor=None, lambda3=0.0,
                                     split_thresholds=False, tol=key[1])
-        models.append(_alternate(ds, cfg, inits[key]))
+        svm_key = key + (hyper.lambda1, hyper.lambda3)
+        if svm_key not in first_svms:
+            first_svms[svm_key] = solve_svm(ds, hyper.lambda1, anchor=inits[key].w,
+                                            lambda3=hyper.lambda3, tol=hyper.tol)
+        models.append(_alternate(ds, cfg, inits[key], first_svms[svm_key]))
     return models
 
 
-def _alternate(ds: Dataset, cfg: TrainConfig, init) -> GenAgeModel:
-    """Run ``cfg``'s alternation from the gender-blind ``init`` solve."""
+def _effective(hyper: HyperParams) -> HyperParams:
+    """The decoupled variants run with no coupling, whatever ``lambda3`` says."""
+    return hyper.replace(lambda3=0.0) if hyper.variant in (Variant.DIRECT, Variant.TWO_STEP) else hyper
+
+
+def _alternate(ds: Dataset, cfg: TrainConfig, init, first_svm) -> GenAgeModel:
+    """Run ``cfg``'s alternation from the gender-blind ``init`` solve, whose
+    first classifier half-step ``first_svm`` is already solved."""
     hyper = cfg.hyper
     variant = hyper.variant
     decoupled = variant in (Variant.DIRECT, Variant.TWO_STEP)
     split = variant in (Variant.TT, Variant.TWO_STEP)
-    eff = hyper.replace(lambda3=0.0) if decoupled else hyper
+    eff = _effective(hyper)
     t_max = 1 if decoupled else hyper.t_max
 
     w_g = np.zeros(ds.dim)
@@ -112,8 +126,8 @@ def _alternate(ds: Dataset, cfg: TrainConfig, init) -> GenAgeModel:
     warm_svm, warm_svor = None, init.dual_state
     trace = [objective_value(ds, eff, w_g, b_g, w_a, ladder_m, ladder_f)]
     for t in range(1, t_max + 1):
-        svm = solve_svm(ds, eff.lambda1, anchor=w_a, lambda3=eff.lambda3, tol=eff.tol,
-                        warm=warm_svm)
+        svm = first_svm if t == 1 else solve_svm(ds, eff.lambda1, anchor=w_a, lambda3=eff.lambda3,
+                                                 tol=eff.tol, warm=warm_svm)
         warm_svm = svm.dual_state
         cand = objective_value(ds, eff, svm.w, svm.b, w_a, ladder_m, ladder_f)
         if cand <= trace[-1]:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from genage import SynthConfig, generate, smo, solve_svm, solve_svor
 from genage.errors import NonConvergence
-from genage.smo import _line_minimum, _shrink_coefficient
+from genage.smo import _face_step, _line_minimum, _recentre, _shrink_coefficient
 
 from _oracles import svm_oracle, svor_oracle
 
@@ -68,6 +68,70 @@ def test_line_minimum_breaks_ties_at_the_start_of_the_path():
     assert t == pytest.approx(1.0 + 1.5 / 3.5, rel=1e-12)
 
 
+# --------------------------------------------------- starved-cut re-centring
+
+def cut_value(x, j, r, c, tau, cut, mu, lam, ridge):
+    """The smoothed objective's part in cut j with its value moved to x."""
+    mine = cut == j
+    return lam * smoothed_hinge(r[mine] - tau[mine] * (x - c[j]), mu).sum() + 0.5 * ridge * x * x
+
+
+def cut_slope(x, j, r, c, tau, cut, mu, lam, ridge):
+    mine = cut == j
+    return ridge * x - lam * (tau[mine] * np.clip((r[mine] - tau[mine] * (x - c[j])) / mu, 0.0, 1.0)).sum()
+
+
+@st.composite
+def recentre_problems(draw):
+    mu = draw(st.floats(1e-3, 1.0))
+    n_cuts = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 20))
+    r = np.array(draw(st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.just(0.0), st.just(mu)), min_size=size, max_size=size)))
+    tau = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
+    cut = np.array(draw(st.lists(st.integers(0, n_cuts - 1), min_size=size, max_size=size)))
+    c = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n_cuts, max_size=n_cuts)))
+    chosen = np.array(draw(st.lists(st.booleans(), min_size=n_cuts, max_size=n_cuts)))
+    lam = draw(st.floats(0.1, 100.0))
+    ridge = draw(st.sampled_from([1e-8, 1e-3, 1.0]))
+    return r, c, tau, cut, chosen, mu, lam, ridge
+
+
+@settings(deadline=None)
+@given(recentre_problems())
+# cut 0 has every term in the zero zone: only the ridge pulls on it until a
+# term reaches the quadratic zone; cut 1 has one term on each zone edge
+@example((np.array([-1.0, -2.0, 0.0, 0.5]), np.array([5.0, -1.0]), np.array([1.0, 1.0, -1.0, 1.0]),
+          np.array([0, 0, 1, 1]), np.array([True, True]), 0.5, 1.0, 0.1))
+def test_recentre_minimises_each_chosen_cut_exactly(problem):
+    r, c, tau, cut, chosen, mu, lam, ridge = problem
+    new_r, new_c = _recentre(r, c, tau, cut, chosen, mu, lam, ridge)
+    args = (r, c, tau, cut, mu, lam, ridge)
+    for j in range(c.size):
+        mine = cut == j
+        if not chosen[j]:
+            assert new_c[j] == c[j] and np.array_equal(new_r[mine], r[mine])
+            continue
+        x = new_c[j]
+        assert np.allclose(new_r[mine], r[mine] - tau[mine] * (x - c[j]), rtol=0.0, atol=1e-12 * max(1.0, abs(x)))
+        # one-sided derivatives bracket 0
+        eps = 1e-7 * max(1.0, abs(x))
+        scale = 1e-9 * (lam * max(1, mine.sum()) / mu + ridge * abs(x))
+        assert cut_slope(x - eps, j, *args) <= scale
+        assert cut_slope(x + eps, j, *args) >= -scale
+        # and the value is a grid minimum that includes every breakpoint
+        edges = np.concatenate([c[j] + r[mine] / tau[mine], c[j] + (r[mine] - mu) / tau[mine]])
+        grid = np.concatenate([np.linspace(c[j] - 2.0 * abs(x - c[j]) - 1.0,
+                                           c[j] + 2.0 * abs(x - c[j]) + 1.0, 2001), edges, [0.0]])
+        best = min(cut_value(g, j, *args) for g in grid)
+        value = cut_value(x, j, *args)
+        assert value <= best + 1e-12 * max(1.0, abs(best))
+    # the smoothed value cannot rise
+    before = lam * smoothed_hinge(r, mu).sum() + 0.5 * ridge * (c @ c)
+    after = lam * smoothed_hinge(new_r, mu).sum() + 0.5 * ridge * (new_c @ new_c)
+    assert after <= before + 1e-12 * max(1.0, abs(before))
+
+
 # --------------------------------------------------- rank-one whitening
 
 @pytest.mark.parametrize("aa, lam3", [(1.0, 5e-13), (0.25, 2e-11), (3.0, 1e-4), (2.0, 1e3)])
@@ -76,6 +140,50 @@ def test_shrink_coefficient_matches_extended_precision(aa, lam3):
     root = np.sqrt(1 + 2 * np.longdouble(lam3) * ld_aa)
     want = (1 / root - 1) / ld_aa
     assert abs(np.longdouble(_shrink_coefficient(aa, lam3)) - want) <= 1e-6 * abs(want)
+
+
+# --------------------------------------------------- polish face step
+
+def dense_face_step(z, tau, block, grad):
+    """The polish step written with an explicit null-space basis: a full SVD
+    of the balance matrix and a least-squares solve of the reduced system."""
+    blocks = np.unique(block)
+    c_mat = np.zeros((blocks.size, tau.size))
+    for row, b in enumerate(blocks):
+        c_mat[row, block == b] = tau[block == b]
+    _, sv, vt = np.linalg.svd(c_mat, full_matrices=True)
+    nb = vt[int(np.sum(sv > 1e-12 * sv[0])):].T
+    gn = nb.T @ grad
+    gn_mat = (tau[:, None] * z).T @ nb
+    h = gn_mat.T @ gn_mat
+    y = np.linalg.lstsq(h, gn, rcond=None)[0]
+    ray = gn - h @ y
+    if np.linalg.norm(ray) > 1e-9 * max(1.0, float(np.linalg.norm(gn))):
+        return nb @ ray, True
+    return nb @ y, False
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("f, d, n_blocks", [(8, 6, 3), (40, 5, 4), (30, 40, 6)])
+def test_face_step_matches_the_dense_null_space_formula(seed, f, d, n_blocks):
+    """Working sets whose face is bounded (f - blocks <= d: Newton step) and
+    unbounded (f - blocks > d: ascent ray), and one with more features than
+    duals."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(f, d))
+    tau = rng.choice([-1.0, 1.0], f)
+    block = np.sort(np.concatenate([np.arange(n_blocks), rng.integers(0, n_blocks, f - n_blocks)])) * 3
+    grad = rng.normal(size=f)
+    step, unbounded = _face_step(z, tau, block, grad)
+    want, want_unbounded = dense_face_step(z, tau, block, grad)
+    assert unbounded == want_unbounded == (f - n_blocks > d)
+    assert np.abs(step - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_face_step_without_freedom_is_none():
+    """One dual per block: the balances fix every one of them."""
+    step, _ = _face_step(np.ones((3, 2)), np.ones(3), np.array([0, 4, 7]), np.ones(3))
+    assert step is None
 
 
 # --------------------------------------------------- warm-started path vs QP

@@ -222,6 +222,14 @@ def test_direct_runs_one_ordinal_solve(svor_calls):
     assert len(trace) == 3 and trace[2] == trace[1] <= trace[0]
 
 
+def test_fit_many_solves_each_first_classifier_step_once(svm_calls):
+    """direct and 2step pose the same lambda3 = 0 classifier problem, and st
+    and tt the same coupled one on the shared init: one solve per pair in
+    round 1, then one each for st and tt in round 2."""
+    fit_many(small_synth(), [TrainConfig(hyper=hyper(variant=v)) for v in Variant])
+    assert sorted(svm_calls) == [(0.0, True), (1000.0, False), (1000.0, False), (1000.0, True)]
+
+
 def test_fit_many_shares_the_init_and_matches_separate_fits(svor_calls):
     ds = small_synth(discrepancy=1.5)
     configs = [TrainConfig(hyper=HyperParams(lambda1=10.0, lambda2=lam2, lambda3=lam3, t_max=2, variant=v))
