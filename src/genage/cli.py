@@ -8,6 +8,13 @@ age an integer rank (values in 1..100 are used verbatim) or a raw year
 into reports and, by ``fit``, into the model file, through which ``predict``
 turns ranks back into years).  UTF-8, comma separators, '.' decimals.
 
+Cell grammar: each cell is stripped of surrounding whitespace; feature cells
+are then whatever Python's ``float()`` accepts and age cells whatever
+``int()`` accepts, and gender cells match the tokens above ignoring case.
+Blank lines are skipped, and line ends may be LF, CRLF or CR.  The reader
+streams the file in blocks of lines and parses each block a column at a
+time; a malformed line raises ``ParseError`` naming the first bad line.
+
 Model JSON and report JSON are versioned with a ``schema_version`` field
 and written with sorted keys, so identical invocations produce
 byte-identical files.  All outputs are written to a temporary file first
@@ -17,6 +24,7 @@ and renamed into place, so a failing command never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -43,16 +51,18 @@ from .train import fit, predict_batch
 SCHEMA_VERSION = 1
 _GENDER_TOKENS = {"M": MALE, "F": FEMALE, "+1": MALE, "1": MALE, "-1": FEMALE}
 _MAX_LITERAL_RANK = 100  # age values above this are calendar years
+_BLOCK_LINES = 4096  # CSV lines parsed or formatted at a time
 
 
 # ------------------------------------------------------------------- file io
 
 def _atomic_write(path, text):
+    """Write ``text``, one string or an iterable of string chunks, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".genage-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,38 +74,75 @@ def _json_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _parse_row(line, number, dim):
+    """One data line by the per-row rules: (features, gender, age), or ParseError."""
+    cells = [c.strip() for c in line.rstrip("\n").split(",")]
+    if len(cells) != dim + 2:
+        raise ParseError(number, f"expected {dim + 2} columns, got {len(cells)}")
+    try:
+        features = [float(c) for c in cells[:dim]]
+    except ValueError as exc:
+        raise ParseError(number, f"bad feature value: {exc}") from None
+    token = cells[dim].upper()
+    if token not in _GENDER_TOKENS:
+        raise ParseError(number, f"bad gender {cells[dim]!r}, expected M, F, +1 or -1")
+    try:
+        age = int(cells[dim + 1])
+    except ValueError:
+        raise ParseError(number, f"bad age {cells[dim + 1]!r}, expected an integer") from None
+    return features, _GENDER_TOKENS[token], age
+
+
+def _parse_block(lines, number, dim):
+    """Parse a block of data lines, the first being line ``number``: (features, genders, ages).
+
+    The cells are read a column at a time: the rows are joined and split
+    once, and each column slice goes through ``float``, ``int`` or the gender
+    table.  ``float`` and ``int`` skip the whitespace around a cell (and the
+    line end the last cell keeps), as ``str.strip`` would.  If any check
+    fails, the block is read again line by line by the per-row rules, so the
+    error names the first bad line.
+    """
+    width = dim + 2
+    rows = list(itertools.filterfalse(str.isspace, lines))
+    # a count of cells per block would let a short row and a long row cancel
+    if list(map(str.count, rows, itertools.repeat(","))).count(width - 1) == len(rows):
+        cells = ",".join(rows).split(",")
+        features = np.empty((len(rows), dim))
+        try:
+            for j in range(dim):
+                features[:, j] = np.fromiter(map(float, cells[j::width]), float, len(rows))
+            tokens = cells[dim::width]
+            lookup = {t: _GENDER_TOKENS[t.strip().upper()] for t in set(tokens)}
+            genders = list(map(lookup.__getitem__, tokens))
+            return features, genders, list(map(int, cells[dim + 1::width]))
+        except (ValueError, KeyError):
+            pass
+    parsed = [_parse_row(line, number + i, dim) for i, line in enumerate(lines) if not line.isspace()]
+    features, genders, ages = zip(*parsed)
+    return np.array(features, dtype=float), list(genders), list(ages)
+
+
 def ingest_csv(path) -> Dataset:
     """Parse a dataset CSV and run the full validation pass."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or not lines[0].strip():
-        raise ParseError(1, "missing header row")
-    header = [h.strip() for h in lines[0].split(",")]
-    dim = len(header) - 2
-    expected = [f"f{i + 1}" for i in range(dim)] + ["gender", "age"]
-    if dim < 1 or header != expected:
-        raise ParseError(1, f"header must be f1..fd,gender,age; got {','.join(header)}")
-    features, genders, ages = [], [], []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != dim + 2:
-            raise ParseError(number, f"expected {dim + 2} columns, got {len(cells)}")
-        try:
-            features.append([float(c) for c in cells[:dim]])
-        except ValueError as exc:
-            raise ParseError(number, f"bad feature value: {exc}") from None
-        token = cells[dim].upper()
-        if token not in _GENDER_TOKENS:
-            raise ParseError(number, f"bad gender {cells[dim]!r}, expected M, F, +1 or -1")
-        genders.append(_GENDER_TOKENS[token])
-        try:
-            age = int(cells[dim + 1])
-        except ValueError:
-            raise ParseError(number, f"bad age {cells[dim + 1]!r}, expected an integer") from None
-        ages.append(age)
-    if not features:
+        first = next(handle, "")
+        if not first.strip():
+            raise ParseError(1, "missing header row")
+        header = [h.strip() for h in first.rstrip("\n").split(",")]
+        dim = len(header) - 2
+        expected = [f"f{i + 1}" for i in range(dim)] + ["gender", "age"]
+        if dim < 1 or header != expected:
+            raise ParseError(1, f"header must be f1..fd,gender,age; got {','.join(header)}")
+        blocks, genders, ages = [], [], []
+        number = 2
+        while lines := list(itertools.islice(handle, _BLOCK_LINES)):
+            features, block_genders, block_ages = _parse_block(lines, number, dim)
+            blocks.append(features)
+            genders += block_genders
+            ages += block_ages
+            number += len(lines)
+    if not genders:
         raise ParseError(2, "no data rows")
     ages = np.asarray(ages)
     unique = np.unique(ages)
@@ -107,21 +154,32 @@ def ingest_csv(path) -> Dataset:
         ranks = np.searchsorted(unique, ages) + 1
         year_map = tuple(int(v) for v in unique)
     return validate_dataset(
-        Dataset(np.asarray(features), genders, ranks, rank_to_year=year_map)
+        Dataset(np.concatenate(blocks), genders, ranks, rank_to_year=year_map)
     )
+
+
+def _age_column(ranks, year_map):
+    """The age each rank is written as: the rank itself, or its year."""
+    if year_map is None:
+        return ranks
+    return np.asarray([int(v) for v in year_map])[ranks - 1]
 
 
 def export_csv(ds: Dataset, path):
     """Write a dataset in the ingest format; floats keep full precision."""
     header = ",".join([f"f{i + 1}" for i in range(ds.dim)] + ["gender", "age"])
-    rows = [header]
-    for i in range(ds.n):
-        cells = [repr(float(v)) for v in ds.features[i]]
-        cells.append("M" if ds.gender[i] == MALE else "F")
-        age = ds.age_rank[i] if ds.rank_to_year is None else ds.rank_to_year[ds.age_rank[i] - 1]
-        cells.append(str(int(age)))
-        rows.append(",".join(cells))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    ages = _age_column(ds.age_rank, ds.rank_to_year)
+
+    def blocks():
+        yield header + "\n"
+        for start in range(0, ds.n, _BLOCK_LINES):
+            rows = slice(start, start + _BLOCK_LINES)
+            columns = [map(repr, ds.features[rows, j].tolist()) for j in range(ds.dim)]
+            columns.append(np.where(ds.gender[rows] == MALE, "M", "F").tolist())
+            columns.append(map(str, ages[rows].tolist()))
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    _atomic_write(path, blocks())
 
 
 def model_to_dict(model: GenAgeModel):
@@ -233,11 +291,9 @@ def _cmd_predict(args):
         raise GenAgeError(f"model year map has {len(year_map)} entries for {model.num_ranks} ranks")
     ds = ingest_csv(args.data)
     genders, ranks = predict_batch(model, ds.features)
-    rows = ["gender,age"]
-    for g, r in zip(genders, ranks):
-        age = r if year_map is None else year_map[r - 1]
-        rows.append(f"{'M' if g == MALE else 'F'},{int(age)}")
-    _atomic_write(args.out, "\n".join(rows) + "\n")
+    rows = map(str.__add__, np.where(genders == MALE, "M,", "F,").tolist(),
+               map(str, _age_column(ranks, year_map).tolist()))
+    _atomic_write(args.out, ("gender,age\n", "\n".join(rows), "\n"))
     return 0
 
 

@@ -140,19 +140,31 @@ def pls_outputs(model: PlsModel, X):
     return (X - model.x_mean) @ model.coefficients + model.y_mean
 
 
+def _decode(gender_score, rank_score, num_ranks):
+    """(gender, rank) from the two outputs, as floats for one sample or arrays for many.
+
+    The gender is the sign of its score, 0 counting as male.  The rank is
+    rounded half to even into 1..K; clamping before rounding gives the same
+    integers, since both bounds are integers.  Ranks stay floats, so each
+    caller picks its integer conversion.
+    """
+    gender = FEMALE + (MALE - FEMALE) * (gender_score >= 0.0)
+    rank = np.rint(np.minimum(np.maximum(rank_score, 1.0), float(num_ranks)))
+    return gender, rank
+
+
 def predict_pls(model: PlsModel, x):
     """Decode one sample to (gender, rank); sign(0) counts as male."""
     x = np.asarray(x, dtype=float)
     if x.shape != model.x_mean.shape:
         raise DimensionMismatch(f"x has shape {x.shape}, expected {model.x_mean.shape}")
-    raw = pls_outputs(model, x[None, :])[0]
-    gender = MALE if raw[0] >= 0.0 else FEMALE
-    rank = int(np.clip(np.rint(raw[1]), 1, model.num_ranks))
-    return gender, rank
+    # numpy calls on one sample cost more than the arithmetic, so the decoding
+    # runs on Python floats here
+    gender, rank = _decode(*pls_outputs(model, x).tolist(), model.num_ranks)
+    return gender, int(rank)
 
 
 def predict_pls_batch(model: PlsModel, X):
     raw = pls_outputs(model, X)
-    genders = np.where(raw[:, 0] >= 0.0, MALE, FEMALE)
-    ranks = np.clip(np.rint(raw[:, 1]), 1, model.num_ranks).astype(int)
-    return genders, ranks
+    genders, ranks = _decode(raw[:, 0], raw[:, 1], model.num_ranks)
+    return genders, ranks.astype(int)

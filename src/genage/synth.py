@@ -113,21 +113,24 @@ def generate(cfg: SynthConfig) -> Dataset:
     rng = np.random.default_rng(cfg.seed)
 
     m = cfg.samples_per_cell
-    male_cells, female_cells, cell_ranks = [], [], []
+    half = cfg.num_ranks * m
+    half_gap = 0.5 * cfg.gender_gap
+    # males fill the first half and females the second, cells in rank order;
+    # each cell is built in its slice (outer product, plus the gender shift,
+    # plus the noise), so no copy of the features is made along the way
+    features = np.empty((2 * half, cfg.dim))
     # one (uniform, noise) draw per rank/slot, applied to both genders
     for k in range(cfg.num_ranks):
         u = rng.uniform(size=m)
-        noise = rng.standard_normal(size=(m, cfg.dim))
+        noise = cfg.noise_sigma * rng.standard_normal(size=(m, cfg.dim))
         frac = _BIN_INSET + (1.0 - 2.0 * _BIN_INSET) * u
-        pos_m = lows_m[k] + (highs_m[k] - lows_m[k]) * frac
-        pos_f = lows_f[k] + (highs_f[k] - lows_f[k]) * frac
-        half_gap = 0.5 * cfg.gender_gap
-        male_cells.append(half_gap * g_dir + np.outer(pos_m, a_dir) + cfg.noise_sigma * noise)
-        female_cells.append(-half_gap * g_dir + np.outer(pos_f, a_dir) + cfg.noise_sigma * noise)
-        cell_ranks.append(np.full(m, k + 1))
+        for offset, lows, highs, shift in ((0, lows_m, highs_m, half_gap * g_dir),
+                                           (half, lows_f, highs_f, -half_gap * g_dir)):
+            cell = features[offset + k * m: offset + (k + 1) * m]
+            np.outer(lows[k] + (highs[k] - lows[k]) * frac, a_dir, out=cell)
+            cell += shift
+            cell += noise
 
-    features = np.concatenate(male_cells + female_cells)
-    ranks = np.concatenate(cell_ranks + cell_ranks)
-    half = cfg.num_ranks * m
-    genders = np.concatenate((np.full(half, MALE), np.full(half, FEMALE)))
+    ranks = np.tile(np.repeat(np.arange(1, cfg.num_ranks + 1), m), 2)
+    genders = np.repeat((MALE, FEMALE), half)
     return validate_dataset(Dataset(features, genders, ranks, num_ranks=cfg.num_ranks))

@@ -173,3 +173,25 @@ def test_truncated_model_equals_refit(seed):
         truncate_pls(full, 7)
     with pytest.raises(BadConfig):
         truncate_pls(full, 0)
+
+
+def test_single_and_batch_decoding_agree_on_ties_and_zero():
+    # identity coefficients make the outputs the inputs, so ties and zero
+    # gender scores can be placed exactly
+    model = PlsModel(
+        n_components=2,
+        x_weights=np.eye(2),
+        x_loadings=np.eye(2),
+        y_loadings=np.eye(2),
+        coefficients=np.eye(2),
+        x_mean=np.zeros(2),
+        y_mean=np.zeros(2),
+        num_ranks=5,
+    )
+    X = np.array([[0.0, 0.5], [-0.0, 1.5], [-1e-300, 2.5], [3.0, 3.5], [-2.0, 4.5],
+                  [1.0, 5.5], [0.0, -7.0], [-1.0, 1e300], [1.0, -1e300]])
+    want_genders = [1, 1, -1, 1, -1, 1, 1, -1, 1]
+    want_ranks = [1, 2, 2, 4, 4, 5, 1, 5, 1]   # half to even, then into 1..5
+    genders, ranks = predict_pls_batch(model, X)
+    assert genders.tolist() == want_genders and ranks.tolist() == want_ranks
+    assert [predict_pls(model, x) for x in X] == list(zip(want_genders, want_ranks))

@@ -96,3 +96,44 @@ def test_bad_configs_rejected():
         generate(SynthConfig(gender_direction=(1.0,) * 10, aging_direction=(1.0,) * 10))
     with pytest.raises(BadConfig):
         generate(SynthConfig(samples_per_cell=0))
+
+
+def concatenating_generate(cfg):
+    """The per-cell generator that builds each cell as its own array and joins them."""
+    from genage.synth import _BIN_INSET, _bins, _directions
+
+    g_dir, a_dir = _directions(cfg)
+    lows_m, highs_m = _bins(effective_cuts(cfg)[0])
+    lows_f, highs_f = _bins(effective_cuts(cfg)[1])
+    rng = np.random.default_rng(cfg.seed)
+    m = cfg.samples_per_cell
+    male_cells, female_cells, cell_ranks = [], [], []
+    for k in range(cfg.num_ranks):
+        u = rng.uniform(size=m)
+        noise = rng.standard_normal(size=(m, cfg.dim))
+        frac = _BIN_INSET + (1.0 - 2.0 * _BIN_INSET) * u
+        pos_m = lows_m[k] + (highs_m[k] - lows_m[k]) * frac
+        pos_f = lows_f[k] + (highs_f[k] - lows_f[k]) * frac
+        half_gap = 0.5 * cfg.gender_gap
+        male_cells.append(half_gap * g_dir + np.outer(pos_m, a_dir) + cfg.noise_sigma * noise)
+        female_cells.append(-half_gap * g_dir + np.outer(pos_f, a_dir) + cfg.noise_sigma * noise)
+        cell_ranks.append(np.full(m, k + 1))
+    half = cfg.num_ranks * m
+    genders = np.concatenate((np.full(half, 1), np.full(half, -1)))
+    return np.concatenate(male_cells + female_cells), genders, np.concatenate(cell_ranks + cell_ranks)
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(discrepancy=2.0, seed=8),
+    SynthConfig(num_ranks=40, male_cut_centers=tuple(np.linspace(-6.0, 6.0, 39)),
+                samples_per_cell=5, seed=3),
+    SynthConfig(noise_sigma=0.0, seed=4),
+    SynthConfig(dim=3, num_ranks=2, male_cut_centers=(0.5,), samples_per_cell=1,
+                gender_direction=(1.0, 1.0, 0.0), aging_direction=(0.0, 1.0, 1.0), seed=9),
+])
+def test_generate_matches_the_concatenating_version(cfg):
+    features, genders, ranks = concatenating_generate(cfg)
+    ds = generate(cfg)
+    assert ds.features.tobytes() == features.tobytes()
+    assert np.array_equal(ds.gender, genders) and np.array_equal(ds.age_rank, ranks)
