@@ -154,7 +154,7 @@ def ingest_csv(path) -> Dataset:
         ranks = np.searchsorted(unique, ages) + 1
         year_map = tuple(int(v) for v in unique)
     return validate_dataset(
-        Dataset(np.concatenate(blocks), genders, ranks, rank_to_year=year_map)
+        Dataset._adopt(np.concatenate(blocks), genders, ranks, rank_to_year=year_map)
     )
 
 

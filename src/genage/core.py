@@ -74,9 +74,20 @@ class Dataset:
     __slots__ = ("features", "gender", "age_rank", "num_ranks", "rank_to_year")
 
     def __init__(self, features, gender, age_rank, num_ranks=None, rank_to_year=None):
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        gender = np.asarray(gender, dtype=int)
-        age_rank = np.asarray(age_rank, dtype=int)
+        self._hold(np.array(features, dtype=float, ndmin=2), np.array(gender, dtype=int),
+                   np.array(age_rank, dtype=int), num_ranks, rank_to_year)
+
+    @classmethod
+    def _adopt(cls, features, gender, age_rank, num_ranks=None, rank_to_year=None):
+        """A dataset over arrays built for it that no caller keeps a handle on:
+        they are frozen in place instead of copied."""
+        ds = cls.__new__(cls)
+        ds._hold(np.asarray(features, dtype=float), np.asarray(gender, dtype=int),
+                 np.asarray(age_rank, dtype=int), num_ranks, rank_to_year)
+        return ds
+
+    def _hold(self, features, gender, age_rank, num_ranks, rank_to_year):
+        """Check the shapes, then freeze and keep the given arrays."""
         if features.shape[0] != gender.shape[0] or features.shape[0] != age_rank.shape[0]:
             raise DimensionMismatch(
                 f"features ({features.shape[0]} rows), gender ({gender.shape[0]}) and "
@@ -86,9 +97,9 @@ class Dataset:
             num_ranks = int(age_rank.max()) if age_rank.size else 2
         if num_ranks < 2:
             raise RankOutOfRange(0, num_ranks, "declared num_ranks must be >= 2")
-        self.features = _frozen_array(features)
-        self.gender = _frozen_array(gender, dtype=int)
-        self.age_rank = _frozen_array(age_rank, dtype=int)
+        for arr in (features, gender, age_rank):
+            arr.setflags(write=False)
+        self.features, self.gender, self.age_rank = features, gender, age_rank
         self.num_ranks = int(num_ranks)
         self.rank_to_year = tuple(rank_to_year) if rank_to_year is not None else None
 
@@ -126,7 +137,7 @@ class Dataset:
     def subset(self, indices):
         """A new dataset holding the given rows; keeps K and the year map."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
+        return Dataset._adopt(
             self.features[idx],
             self.gender[idx],
             self.age_rank[idx],

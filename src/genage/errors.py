@@ -54,13 +54,19 @@ class DegenerateGender(GenAgeError):
 
 
 class NonConvergence(GenAgeError):
-    """The solver exhausted its iteration budget before reaching tolerance."""
+    """The solver stopped before its duality gap reached tolerance.
 
-    def __init__(self, iterations, gap=None):
+    ``reason`` names the exit: ``budget`` (the step budget ran out),
+    ``eps-floor`` (the SMO tolerance reached its floor with steps to spare)
+    or ``outer-cap`` (the tie loop kept changing the block structure).
+    """
+
+    def __init__(self, iterations, reason, gap=None):
         self.iterations = iterations
         self.gap = gap
+        self.reason = reason
         detail = f" (duality gap {gap:.3e})" if gap is not None else ""
-        super().__init__(f"no convergence within {iterations} iterations{detail}")
+        super().__init__(f"no convergence after {iterations} iterations: {reason}{detail}")
 
 
 class RankDeficient(GenAgeError):

@@ -15,10 +15,11 @@ the per-cut balance constraints ``sum_{t in cut} tau_t beta_t = 0``; each
 sweep applies one second-order-selected pair per tie block.  Order
 constraints between cuts are handled by an active-set loop over tie
 patterns: neighbouring cuts whose unconstrained optima cross are merged
-into one block, and blocks whose internal multipliers turn negative are
-split again.  Cut values are recovered from the exact one-dimensional
-piecewise-linear minimization given the current v, which keeps the reported
-primal value a true upper bound for the duality-gap stopping test.
+into one block, together with any cuts between them that hold no terms,
+and blocks whose internal multipliers turn negative are split again.  Cut
+values are recovered from the exact one-dimensional piecewise-linear
+minimization given the current v, which keeps the reported primal value a
+true upper bound for the duality-gap stopping test.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class HingeSolution:
     objective: float       # primal value in the whitened coordinates
     gap: float
     steps: int
-    beta: np.ndarray       # dual state in the original term order, for warm starts
 
 
 _MU_FLOOR = 1e-3  # smallest smoothing width of the warm start's path
@@ -647,17 +647,22 @@ class _DualSolver:
                 bi = block_of[j]
                 if not seq or seq[-1] != bi:
                     seq.append(bi)
-            for a, b in zip(seq, seq[1:]):
-                if a not in new_blocks or b not in new_blocks:
+            # a block with no terms (None) leaves its cut free, so the order
+            # binds the valued blocks on either side of it: each valued block
+            # is compared with the previous valued block of its chain
+            prev, empty = None, []
+            for b in seq:
+                if values[b] is None:
+                    empty.append(b)
                     continue
-                va, vb = values.get(a), values.get(b)
-                if va is None or vb is None:
-                    continue
-                if va > vb + mtol:
-                    new_blocks[a] = new_blocks[a] + new_blocks[b]
-                    values[a] = None  # merged blocks get re-solved before reuse
-                    del new_blocks[b]
+                if prev is not None and values[prev] > values[b] + mtol:
+                    for e in empty + [b]:
+                        new_blocks[prev] += new_blocks.pop(e)
                     merged = True
+                    prev = None  # merged blocks get re-solved before reuse
+                else:
+                    prev = b
+                empty = []
         if merged:
             self._sync_original()
             self.blocks = [sorted(blk) for blk in new_blocks.values()]
@@ -687,18 +692,17 @@ class _DualSolver:
 
     def solve(self, tol):
         if self.lam <= 0.0 or self.T == 0:
-            self.beta[:] = 0.0
-            self._refresh()
+            # no hinge weight or no terms: the duals are clipped to zero
             cuts = self._recover_cuts()
-            self._sync_original()
-            return HingeSolution(self.v, cuts, self._primal(cuts), 0.0, 0, self._beta_orig)
+            return HingeSolution(self.v, cuts, self._primal(cuts), 0.0, 0)
         eps = 1e-3
         mtol = 1e-8
         stol = 1e-7 * max(1.0, self.lam)
         budget = default_budget(self.prob.z.shape)
         for _ in range(64 * max(1, self.prob.n_cuts)):
             self._smo(eps, budget)
-            self._polish()
+            if self.steps < budget:
+                self._polish()
             if self._adjust_ties(mtol, stol):
                 continue
             self._refresh()
@@ -706,35 +710,28 @@ class _DualSolver:
             primal = self._primal(cuts)
             gap = primal - self._dual()
             if gap <= tol * (1.0 + abs(primal)):
-                self._sync_original()
-                return HingeSolution(self.v, cuts, primal, gap, self.steps, self._beta_orig)
-            if self.steps >= budget or eps <= 1e-12:
-                raise NonConvergence(self.steps, gap=gap)
+                return HingeSolution(self.v, cuts, primal, gap, self.steps)
+            if self.steps >= budget:
+                raise NonConvergence(self.steps, "budget", gap=gap)
+            if eps <= 1e-12:
+                raise NonConvergence(self.steps, "eps-floor", gap=gap)
             eps *= 1e-2
-        raise NonConvergence(self.steps)
+        raise NonConvergence(self.steps, "outer-cap")
 
 
-def solve_hinge_dual(prob, tol=1e-6, warm=None):
+def solve_hinge_dual(prob, tol=1e-6):
     """Minimize the reduced subproblem; returns a :class:`HingeSolution`.
 
-    ``warm`` seeds the dual variables from a previous solve on the same term
-    layout.  Raises :class:`NonConvergence` when the duality gap cannot be
-    closed within :func:`default_budget` SMO steps.
+    Every solve starts from the smoothed-Newton warm start, or from the zero
+    dual when that start's dual value is below zero's.  Raises
+    :class:`NonConvergence` when the duality gap cannot be closed: the step
+    budget of :func:`default_budget` ran out (``budget``), the SMO tolerance
+    reached its floor (``eps-floor``), or the tie loop kept changing the
+    block structure (``outer-cap``).
     """
-    if prob.z.shape[0] > 96 and prob.penalty > 0.0:
-        # a caller-provided warm start can be arbitrarily stale after the
-        # anchor moved; keep whichever dual point certifies the highest value,
-        # with the zero vector (dual exactly 0) as the floor.  Ties keep the
-        # earlier of the Huber start, zero and the caller's start
-        solver = _DualSolver(prob, warm=_huber_warm_start(prob))
-        if warm is not None:
-            other = _DualSolver(prob, warm=warm)
-            if other._dual() > max(solver._dual(), 0.0):
-                solver = other
-        if solver._dual() < 0.0:
-            solver = _DualSolver(prob)
-    else:
-        solver = _DualSolver(prob, warm=warm)
+    solver = _DualSolver(prob, warm=_huber_warm_start(prob))
+    if solver._dual() < 0.0:
+        solver = _DualSolver(prob)
     return solver.solve(tol)
 
 

@@ -27,7 +27,6 @@ class SvmSolution:
     b: float
     objective: float
     iterations: int
-    dual_state: np.ndarray = None  # warm-start handle for repeated solves
 
 
 def svm_objective(X, y, lambda1, anchor, lambda3, w, b):
@@ -39,7 +38,7 @@ def svm_objective(X, y, lambda1, anchor, lambda3, w, b):
     return quad + lambda1 * float(np.clip(margins, 0.0, None).sum())
 
 
-def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, warm=None):
+def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):
     """Fit the gender hyperplane on ``ds`` (labels +-1 in ``ds.gender``).
 
     Parameters
@@ -86,7 +85,7 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, warm=Non
         chains=(),
         penalty=float(lambda1),
     )
-    sol = solve_hinge_dual(prob, tol=tol, warm=warm)
+    sol = solve_hinge_dual(prob, tol=tol)
     w = shrink(sol.v)
     b = -float(sol.cuts[0])
     return SvmSolution(
@@ -94,5 +93,4 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6, warm=Non
         b=b,
         objective=svm_objective(X, y, lambda1, anchor, lambda3, w, b),
         iterations=sol.steps,
-        dual_state=sol.beta,
     )

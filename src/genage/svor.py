@@ -27,7 +27,6 @@ class SvorSolution:
     ladder_female: ThresholdLadder
     objective: float
     iterations: int
-    dual_state: np.ndarray = None  # warm-start handle for repeated solves
 
 
 def ordinal_slacks(scores, ranks, genders, ladder_male, ladder_female):
@@ -87,8 +86,7 @@ def _build_terms(X, ranks, genders, num_ranks, split):
     return np.asarray(rows, dtype=int), np.asarray(taus), np.asarray(cuts, dtype=int), n_cuts, chains
 
 
-def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True,
-               tol=1e-6, warm=None):
+def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True, tol=1e-6):
     """Fit the shared direction and the threshold ladder(s) on ``ds``.
 
     With ``split_thresholds`` each gender gets its own ladder; otherwise one
@@ -130,7 +128,7 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
         chains=chains,
         penalty=float(lambda2),
     )
-    sol = solve_hinge_dual(prob, tol=tol, warm=warm)
+    sol = solve_hinge_dual(prob, tol=tol)
     w = shrink(sol.v)
     if split_thresholds:
         ladder_male = ThresholdLadder(sol.cuts[: K - 1])
@@ -146,7 +144,6 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
             X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, ladder_female
         ),
         iterations=sol.steps,
-        dual_state=sol.beta,
     )
 
 

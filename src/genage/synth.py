@@ -133,4 +133,4 @@ def generate(cfg: SynthConfig) -> Dataset:
 
     ranks = np.tile(np.repeat(np.arange(1, cfg.num_ranks + 1), m), 2)
     genders = np.repeat((MALE, FEMALE), half)
-    return validate_dataset(Dataset(features, genders, ranks, num_ranks=cfg.num_ranks))
+    return validate_dataset(Dataset._adopt(features, genders, ranks, num_ranks=cfg.num_ranks))

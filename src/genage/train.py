@@ -121,14 +121,10 @@ def _alternate(ds: Dataset, cfg: TrainConfig, init, first_svm) -> GenAgeModel:
     w_a = init.w
     ladder_m, ladder_f = init.ladder_male, init.ladder_female
 
-    # the hinge-term layout is identical across alternation rounds, so each
-    # solve can reuse the previous round's dual state
-    warm_svm, warm_svor = None, init.dual_state
     trace = [objective_value(ds, eff, w_g, b_g, w_a, ladder_m, ladder_f)]
     for t in range(1, t_max + 1):
         svm = first_svm if t == 1 else solve_svm(ds, eff.lambda1, anchor=w_a, lambda3=eff.lambda3,
-                                                 tol=eff.tol, warm=warm_svm)
-        warm_svm = svm.dual_state
+                                                 tol=eff.tol)
         cand = objective_value(ds, eff, svm.w, svm.b, w_a, ladder_m, ladder_f)
         if cand <= trace[-1]:
             w_g, b_g = svm.w, svm.b
@@ -142,8 +138,7 @@ def _alternate(ds: Dataset, cfg: TrainConfig, init, first_svm) -> GenAgeModel:
             trace.append(trace[-1])
             continue
         svor = solve_svor(ds, eff.lambda2, anchor=w_g, lambda3=eff.lambda3,
-                          split_thresholds=split, tol=eff.tol, warm=warm_svor)
-        warm_svor = svor.dual_state
+                          split_thresholds=split, tol=eff.tol)
         cand = objective_value(ds, eff, w_g, b_g, svor.w, svor.ladder_male, svor.ladder_female)
         if cand <= trace[-1]:
             w_a, ladder_m, ladder_f = svor.w, svor.ladder_male, svor.ladder_female

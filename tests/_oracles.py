@@ -159,3 +159,30 @@ def random_svor_instance(rng):
     anchor = rng.normal(size=d)
     split = bool(rng.integers(0, 2))
     return X, ranks, genders, num_ranks, lam2, anchor, lam3, split
+
+
+def random_svor_holes_instance(rng):
+    """A split-ladder instance in which each gender misses a run of two or
+    three ranks, at the start, in the middle or at the end of 1..K (K <= 6).
+
+    Two missing ranks in a row leave a cut with no hinge terms in that
+    gender's ladder; the ranks present still number at least two per gender.
+    """
+    num_ranks = int(rng.integers(4, 7))
+    d = int(rng.integers(1, 3))
+    ranks, genders = [], []
+    for gender in (1, -1):
+        width = int(rng.integers(2, min(3, num_ranks - 2) + 1))
+        start = (1, int(rng.integers(2, num_ranks - width + 1)), num_ranks - width + 1)[int(rng.integers(3))]
+        present = np.setdiff1d(np.arange(1, num_ranks + 1), np.arange(start, start + width))
+        count = int(rng.integers(4, 11))
+        drawn = rng.choice(present, size=count)
+        drawn[:2] = present[0], present[-1]
+        ranks.append(drawn)
+        genders.append(np.full(count, gender))
+    ranks, genders = np.concatenate(ranks), np.concatenate(genders)
+    X = rng.normal(size=(ranks.size, d)) * 3.0
+    lam2 = float(10.0 ** rng.uniform(-1, 2))
+    lam3 = float(rng.choice([0.0, 10.0 ** rng.uniform(-1, 1.5)]))
+    anchor = rng.normal(size=d)
+    return X, ranks, genders, num_ranks, lam2, anchor, lam3

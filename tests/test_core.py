@@ -77,6 +77,15 @@ def test_dataset_arrays_are_frozen():
         ds.features[0, 0] = 9.0
 
 
+def test_dataset_copies_the_callers_arrays():
+    features, gender, ranks = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, -1]), np.array([1, 2])
+    ds = Dataset(features, gender, ranks)
+    for given, held in ((features, ds.features), (gender, ds.gender), (ranks, ds.age_rank)):
+        assert not np.shares_memory(given, held)
+        given[0] = 2
+    assert ds == Dataset([[0.0, 1.0], [1.0, 0.0]], [1, -1], [1, 2])
+
+
 def test_ladder_rejects_decreasing_cuts():
     with pytest.raises(LadderOrderError):
         ThresholdLadder([0.0, -1.0])

@@ -189,8 +189,8 @@ def test_face_step_without_freedom_is_none():
 # --------------------------------------------------- warm-started path vs QP
 
 def test_warm_started_solves_match_the_qp_oracles(monkeypatch):
-    """100 samples give 100 and 160 hinge terms, above the 96 where the
-    smoothed-Newton warm start and candidate selection take over."""
+    """100 samples give 100 and 160 hinge terms; both solves start from the
+    smoothed-Newton warm start."""
     ds = generate(SynthConfig(samples_per_cell=10, gender_gap=1.0, seed=8))
     X, genders, ranks = ds.features, ds.gender, ds.age_rank
     rng = np.random.default_rng(8)
@@ -238,3 +238,28 @@ def test_exhausted_step_budget_raises_non_convergence(monkeypatch):
     with pytest.raises(NonConvergence) as raised:
         solve_svor(ds, 10.0)
     assert raised.value.gap > 0.0
+
+
+def _no_steps(monkeypatch):
+    monkeypatch.setattr(smo, "default_budget", lambda shape: 0)
+
+
+def _primal_never_meets_the_dual(monkeypatch):
+    primal = smo._DualSolver._primal
+    monkeypatch.setattr(smo._DualSolver, "_primal", lambda self, cuts: primal(self, cuts) + 1e3)
+
+
+def _ties_always_change(monkeypatch):
+    monkeypatch.setattr(smo._DualSolver, "_adjust_ties", lambda self, mtol, stol: True)
+
+
+@pytest.mark.parametrize("reason, patch", [("budget", _no_steps),
+                                           ("eps-floor", _primal_never_meets_the_dual),
+                                           ("outer-cap", _ties_always_change)])
+def test_non_convergence_names_its_exit(monkeypatch, reason, patch):
+    ds = generate(SynthConfig(dim=4, samples_per_cell=4, noise_sigma=1.0, seed=0))
+    patch(monkeypatch)
+    with pytest.raises(NonConvergence) as raised:
+        solve_svor(ds, 10.0)
+    assert raised.value.reason == reason
+    assert reason in str(raised.value)

@@ -52,6 +52,15 @@ def ages_in_years():
     return Dataset(base.features, base.gender, base.age_rank + 15, num_ranks=77)
 
 
+def years_missing_male_middle_ages():
+    """ages_in_years without the males aged 45 and 46: the male ladder's cut
+    between those ages has no hinge terms, and the optima of the valued cuts
+    on either side of it cross."""
+    base = ages_in_years()
+    keep = ~((base.gender == 1) & np.isin(base.age_rank, (45, 46)))
+    return Dataset(base.features[keep], base.gender[keep], base.age_rank[keep], num_ranks=77)
+
+
 def wide():
     """d=300 with n=100."""
     return generate(SynthConfig(dim=300, samples_per_cell=10, discrepancy=2.0, seed=13))
@@ -106,3 +115,28 @@ def test_stress_fit_is_certified_monotone_and_bounded(case, variant, monkeypatch
         assert sol.gap <= hyper.tol * (1.0 + abs(sol.objective))
     assert np.all(np.diff(model.objective_trace) <= 0.0)
     assert elapsed <= WALL_BOUND_S, f"{case} {variant} took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("variant", ["tt", "2step"])
+def test_split_ladders_across_missing_middle_ages_are_certified_and_bounded(variant, monkeypatch):
+    ds = years_missing_male_middle_ages()
+    solutions = []
+    for module in (genage.svm, genage.svor):
+        solve = module.solve_hinge_dual
+
+        def capture(prob, _solve=solve, **kw):
+            sol = _solve(prob, **kw)
+            solutions.append(sol)
+            return sol
+
+        monkeypatch.setattr(module, "solve_hinge_dual", capture)
+
+    start = time.perf_counter()
+    model = fit(ds, TrainConfig(hyper=HyperParams(variant=variant)))
+    elapsed = time.perf_counter() - start
+
+    assert len(solutions) == (3 if variant == "2step" else 5)
+    for sol in solutions:
+        assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
+    assert np.all(np.diff(model.objective_trace) <= 0.0)
+    assert elapsed <= WALL_BOUND_S, f"{variant} took {elapsed:.1f} s"

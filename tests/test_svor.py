@@ -4,7 +4,7 @@ import pytest
 from genage import Dataset, predict_rank, predict_ranks, solve_svor, ThresholdLadder
 from genage.errors import DimensionMismatch, InsufficientRanks
 
-from _oracles import random_svor_instance, svor_oracle
+from _oracles import random_svor_holes_instance, random_svor_instance, svor_oracle
 
 # reference optimum for the two-gender, three-rank line example below
 LINE_EXAMPLE_OBJ = 0.5
@@ -59,6 +59,31 @@ def test_random_instances_match_qp_oracle():
         assert abs(sol.objective - ref) <= 1e-4 * max(1.0, abs(ref))
         assert np.all(np.diff(sol.ladder_male.cuts) >= -1e-9)
         assert np.all(np.diff(sol.ladder_female.cuts) >= -1e-9)
+
+
+def test_crossing_across_an_empty_cut_is_merged():
+    """The males hold no rank-2 and no rank-3 sample, so their middle cut
+    has no hinge terms, and the optima of the valued cuts on either side of
+    it cross."""
+    X = np.array([[-24.1, 9.0], [8.4, 7.7], [2.4, -11.4], [-4.6, -3.7], [-11.0, 18.2],
+                  [4.6, 19.7], [11.8, 3.1], [-3.6, 1.3], [-6.1, -11.4]])
+    genders = np.array([1, -1, -1, -1, 1, 1, -1, -1, -1])
+    ranks = np.array([1, 2, 1, 2, 4, 4, 4, 3, 3])
+    sol = solve_svor(Dataset(X, genders, ranks, num_ranks=4), 127.0, split_thresholds=True, tol=1e-10)
+    ref = svor_oracle(X, ranks, genders, 4, 127.0, None, 0.0, True)
+    assert abs(sol.objective - ref) <= 1e-9 * abs(ref)
+
+
+def test_instances_with_per_gender_rank_holes_match_qp_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        X, ranks, genders, num_ranks, lam2, anchor, lam3 = random_svor_holes_instance(rng)
+        ds = Dataset(X, genders, ranks, num_ranks=num_ranks)
+        sol = solve_svor(ds, lam2, anchor=anchor, lambda3=lam3, split_thresholds=True, tol=1e-9)
+        ref = svor_oracle(X, ranks, genders, num_ranks, lam2, anchor, lam3, True)
+        assert abs(sol.objective - ref) <= 1e-6 * max(1.0, abs(ref))
+        assert np.all(np.diff(sol.ladder_male.cuts) >= 0.0)
+        assert np.all(np.diff(sol.ladder_female.cuts) >= 0.0)
 
 
 def test_exact_gender_copies_get_identical_ladders():

@@ -245,3 +245,32 @@ def test_fit_many_shares_the_init_and_matches_separate_fits(svor_calls):
         assert np.array_equal(a.ladder_male.cuts, b.ladder_male.cuts)
         assert np.array_equal(a.ladder_female.cuts, b.ladder_female.cuts)
         assert a.objective_trace == b.objective_trace
+
+
+def tiny_fit_problems(count, seed):
+    """Seeded tiny problems (n 8-30, d 1-4, K 2-4, any variant, weights over
+    three decades) in which each gender spans ranks 1 and K."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, d, num_ranks = int(rng.integers(8, 31)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1)
+        genders = rng.permutation(np.resize([1, -1], n))
+        ranks = rng.integers(1, num_ranks + 1, size=n)
+        for gender in (1, -1):
+            ranks[np.flatnonzero(genders == gender)[:2]] = (1, num_ranks)
+        variant = list(Variant)[int(rng.integers(4))]
+        (lam1, lam2), lam3 = 10.0 ** rng.uniform(-1, 2, size=2), 10.0 ** rng.uniform(-1, 3)
+        yield (Dataset(X, genders, ranks, num_ranks=num_ranks), rng.permutation(n),
+               HyperParams(lambda1=lam1, lambda2=lam2, lambda3=lam3, variant=variant))
+
+
+def test_tiny_fits_are_row_order_invariant_with_sorted_ladders_and_falling_traces():
+    for ds, order, hyper in tiny_fit_problems(24, seed=3):
+        cfg = TrainConfig(hyper=hyper)
+        model, shuffled = fit(ds, cfg), fit(ds.subset(order), cfg)
+        final = model.objective_trace[-1]
+        assert abs(shuffled.objective_trace[-1] - final) <= 1e-6 * abs(final)
+        for m in (model, shuffled):
+            assert np.all(np.diff(m.ladder_male.cuts) >= 0.0)
+            assert np.all(np.diff(m.ladder_female.cuts) >= 0.0)
+            assert np.all(np.diff(m.objective_trace) <= 0.0)
