@@ -10,9 +10,13 @@ where each hinge term t carries a feature row ``z_t``, an orientation
 it above) and the index of the cut it references.  The gender classifier is
 the special case of a single cut (the negated bias) and no chain.
 
-The box-constrained dual is ascended with pairwise SMO steps that preserve
-the per-cut balance constraints ``sum_{t in cut} tau_t beta_t = 0``; each
-sweep applies one second-order-selected pair per tie block.  Order
+Every solve starts from the duals of a Mehrotra predictor-corrector
+interior-point solve of the box-constrained dual without the chains
+(:func:`_ipm_warm_start`).  From there the dual is ascended with pairwise
+SMO steps that preserve the per-cut balance constraints
+``sum_{t in cut} tau_t beta_t = 0``; each sweep applies one
+second-order-selected pair per tie block, and a Newton polish on the face of
+the working set finishes what the sweeps identify.  Order
 constraints between cuts are handled by an active-set loop over tie
 patterns: neighbouring cuts whose unconstrained optima cross are merged
 into one block, together with any cuts between them that hold no terms,
@@ -86,245 +90,144 @@ class HingeSolution:
     steps: int
 
 
-_MU_FLOOR = 1e-3  # smallest smoothing width of the warm start's path
-_NEWTON_CAP = 200  # Newton steps per smoothing level; the benchmark's fits need at most 83
+_IPM_CAP = 60  # interior-point iterations per warm start
+_IPM_GAP = 1e-8  # relative complementarity gap at which the warm start hands over
 _POLISH_ROUNDS = 60  # Newton face steps per polish
 _POLISH_CAP = 600  # largest working set the polish factorizes
 _POLISH_RECRUIT = 48  # bound-sitting KKT violators added to the first working set
 
 
-def _kinks(r, q, mu, t_hi):
-    """Where the residuals r + t*q enter and leave the quadratic zone (0, mu).
+def _ipm_warm_start(prob, budget):
+    """Near-optimal duals from a Mehrotra predictor-corrector interior-point solve.
 
-    Returns the mask of terms inside the zone just after t = 0 (a residual
-    on a zone edge goes the way q points; at theta = 0 and mu = 1 every
-    residual equals mu exactly), and the unsorted crossings in (0, t_hi):
-    their times, the crossing terms and the sign of the change in phi''s
-    slope, +1 for a residual entering the zone and -1 for one leaving it.
-    ``t_hi`` is a scalar or one bound per term.  The tests are made on
-    distances along q, so no time outside the window is ever formed and a q
-    of 0 (no crossing) or near 0 (a time near the float maximum) needs no
-    special case.
-    """
-    sign = np.sign(q)
-    aq = sign * q
-    dist = np.subtract.outer((0.0, mu), r)
-    dist *= sign  # distances along q to the edges 0 and mu, times |q|
-    # a residual is in the zone when it has passed the nearer edge but not the farther
-    inside = (dist.min(axis=0) <= 0.0) & (dist.max(axis=0) > 0.0)
-    ahead = np.flatnonzero((dist > 0.0) & (dist < t_hi * aq))
-    term = ahead % r.size
-    # the nearer edge is 0 for a rising residual and mu for a falling one
-    entering = (ahead < r.size) == (sign[term] > 0.0)
-    return inside, dist.ravel()[ahead] / aq[term], term, np.where(entering, 1.0, -1.0)
+    In box units b = beta / lam the dual without the chains is the QP
 
+        min 0.5 b^T A A^T b - sum(b)   s.t.  E^T b = 0,  0 <= b <= 1,
 
-def _line_minimum(r, q, mu, lam, a, b):
-    """Exact minimiser over t >= 0 of the convex piecewise quadratic
+    with rows A_t = sqrt(lam) * tau_t * z_t and one balance column per cut,
+    E_{t,j} = tau_t when term t references cut j.  A cut whose terms share
+    one orientation forces their duals to 0, so those terms are dropped, and
+    a cut left with no terms with them.  With more features than terms, the
+    features are replaced by as many coordinates as there are terms with the
+    same Gram matrix, which is all the dual sees of them.
 
-        phi(t) = a*t + 0.5*b*t**2 + lam * sum_i H(r_i + t*q_i),
+    Each iteration eliminates the bound multipliers z_l, z_u, leaving
+    (A A^T + D) db - E dy = h with D = z_l / b + z_u / (1 - b), then the cut
+    values: with D^-1-weighted cut means of the features, what remains is
+    the d x d system I plus the D^-1-weighted scatter of the centred
+    features, a Gram matrix >= I that no subtraction can spoil.  Its inverse
+    serves both the predictor and the corrector solve.
 
-    where H is the hinge smoothed over width mu (0 below 0, x**2/(2*mu) up
-    to mu, x - mu/2 beyond) and b > 0.  phi' is continuous and piecewise
-    linear, with breakpoints where a residual crosses 0 or mu.  Sorting them
-    and accumulating the slope changes (+-q**2 as a residual enters or
-    leaves the quadratic zone) gives phi' at every breakpoint in one pass;
-    the segment holding its first sign change is then rebuilt from r and q
-    directly, so the accumulated roundoff never enters the answer.
-    """
-    k = lam / mu
-    intercept = a + k * (q @ np.minimum(np.maximum(r, 0.0), mu))  # phi'(0)
-    if intercept >= 0.0:
-        return 0.0
-    # each smoothed-hinge slope lies in [0, 1], so phi' >= a + b*t + lam*sum(min(q, 0))
-    # and the minimiser lies below t_hi; later breakpoints cannot matter
-    t_hi = -(lam * np.minimum(q, 0.0).sum() + a) / b
-    inside, times, term, sign = _kinks(r, q, mu, t_hi)
-    kq2 = k * q * q
-    slope = b + kq2 @ inside
-    t = -intercept / slope
-    if not times.size or t <= times.min():
-        return float(min(t, t_hi))  # the first segment's line is exact
-    order = np.argsort(times)
-    times, change = times[order], (kq2[term] * sign)[order]
-    # phi' is continuous, so a slope change at time s moves the intercept by
-    # minus its product with s
-    dphi = intercept - np.cumsum(change * times) + (slope + np.cumsum(change)) * times
-    j = int(np.argmax(dphi >= 0.0))
-    if dphi[j] >= 0.0:
-        lo, hi = (times[j - 1] if j else 0.0), times[j]
-    else:
-        lo, hi = times[-1], t_hi
-    mid = 0.5 * (lo + hi)
-    x = r + mid * q
-    deriv = a + b * mid + k * (q @ np.minimum(np.maximum(x, 0.0), mu))
-    slope = b + kq2 @ ((x > 0.0) & (x < mu))
-    return float(min(max(mid - deriv / slope, lo), hi))
+    The start is balanced, scaled to the best dual value along its ray, and
+    its bound multipliers take the whole gradient, so the stationarity
+    residual starts at 0 and only roundoff moves it.  The loop hands over at
+    a relative complementarity gap of ``_IPM_GAP``, or at the last iterate
+    before roundoff broke the Newton steps: the stationarity residual grew
+    past a million times the roundoff of A A^T b, whose terms sum to at most
+    n * max |a_t|^2.
 
-
-def _segment_minima(r, q, seg, mu, lam, a, b):
-    """Exact minimisers over t >= 0 of ``len(a)`` independent problems of
-    :func:`_line_minimum`'s form, problem s holding the terms with seg == s:
-
-        phi_s(t) = a[s]*t + 0.5*b[s]*t**2 + lam * sum_{seg_i = s} H(r_i + t*q_i).
-
-    All breakpoints are sorted once by (problem, time), and running sums
-    restarted at each problem's first breakpoint give every phi_s' at its
-    breakpoints in one pass; each problem's segment holding its first sign
-    change is then rebuilt from r and q as in :func:`_line_minimum`.
-    """
-    n = a.size
-    k = lam / mu
-    intercept = a + k * np.bincount(seg, q * np.minimum(np.maximum(r, 0.0), mu), n)
-    t_hi = -(lam * np.bincount(seg, np.minimum(q, 0.0), n) + a) / b
-    inside, times, term, sign = _kinks(r, q, mu, t_hi[seg])
-    kq2 = k * q * q
-    slope = b + np.bincount(seg, kq2 * inside, n)
-    owner = seg[term]
-    order = np.lexsort((times, owner))
-    times, owner, change = times[order], owner[order], (kq2[term] * sign)[order]
-    bounds = np.searchsorted(owner, np.arange(n + 1))
-    start, stop = bounds[:-1], bounds[1:]
-
-    def running(x):
-        """Cumulative sums restarted at each problem's first breakpoint."""
-        total = np.cumsum(x)
-        return total - (total - x)[start[owner]]
-
-    dphi = intercept[owner] - running(change * times) + (slope[owner] + running(change)) * times
-    # phi_s' rises with t, so its breakpoints with phi_s' < 0 come first
-    first = start + np.bincount(owner[dphi < 0.0], minlength=n)
-    padded = np.concatenate(([0.0], times, [0.0]))
-    lo = np.where(first > start, padded[first], 0.0)
-    hi = np.where(first < stop, padded[first + 1], t_hi)
-    mid = 0.5 * (lo + hi)
-    x = r + mid[seg] * q
-    deriv = a + b * mid + k * np.bincount(seg, q * np.minimum(np.maximum(x, 0.0), mu), n)
-    slope = b + np.bincount(seg, kq2 * ((x > 0.0) & (x < mu)), n)
-    return np.where(intercept >= 0.0, 0.0, np.minimum(np.maximum(mid - deriv / slope, lo), hi))
-
-
-def _recentre(r, c, tau, cut, chosen, mu, lam, ridge):
-    """Move each chosen cut to the exact minimum of the smoothed objective
-    over its own value, with v and every other cut fixed.
-
-    The objective's part in cut j is lam * sum_{cut_t = j} H(r_t - tau_t*dc)
-    + 0.5*ridge*(c_j + dc)**2, and no two cuts share a term, so the cuts are
-    independent problems of :func:`_segment_minima`, each searched in its
-    descent direction.  Returns the new residuals and cut values.
-    """
-    n = int(np.count_nonzero(chosen))
-    terms = chosen[cut]
-    seg = (np.cumsum(chosen) - 1)[cut[terms]]
-    r_s, tau_s, c_s = r[terms], tau[terms], c[chosen]
-    deriv = ridge * c_s - (lam / mu) * np.bincount(seg, tau_s * np.minimum(np.maximum(r_s, 0.0), mu), n)
-    toward = -np.sign(deriv)
-    q = -tau_s * toward[seg]
-    t = _segment_minima(r_s, q, seg, mu, lam, ridge * c_s * toward, np.full(n, ridge))
-    r, c = r.copy(), c.copy()
-    r[terms] = r_s + t[seg] * q
-    c[chosen] = c_s + t * toward
-    return r, c
-
-
-def _huber_warm_start(prob):
-    """Near-optimal dual point from a smoothed-Newton solve of the primal.
-
-    The primal lives in only dim + n_cuts variables, so Newton steps on a
-    Huber-smoothed hinge (path-following the smoothing width mu from 1 down
-    to ``_MU_FLOOR``) reach the optimum basin in a few dozen cheap
-    iterations.  Each step goes to the exact minimiser along the Newton
-    direction (:func:`_line_minimum`).  A cut with no term in the quadratic
-    zone has only the tiny ridge as curvature, so the Newton step would move
-    it by orders of magnitude too far and the line search would stop as soon
-    as one of its terms reached the zone; such starved cuts are first moved
-    to the exact minimum over their own values with v fixed
-    (:func:`_recentre`), an exact block-coordinate step.  The Huber
-    gradient weights are box- and balance-feasible duals, which hands the
-    exact dual ascent a starting point with an already tiny gap.  Duals are
-    extracted at the deepest smoothing level whose gradient actually
-    converged, since conditioning eventually defeats the Newton solves; a
-    level also ends, unconverged, when a step raises the value by more than
-    roundoff.  Residuals are updated along each step and recomputed from
-    (v, c) at every level's end.
+    Duals heading to a bound are put on it by a test with no scale.  When
+    the last step cut the complementarity gap by a factor rho <= 0.1, a dual
+    goes to a bound if its distance to it shrank by less than sqrt(rho)
+    times the factor of that bound's multiplier and is at most 1e-6 of the
+    box.  The distance of a dual converging to a bound shrinks like rho
+    while its multiplier holds, a free dual holds while its multiplier
+    shrinks, and a degenerate one shrinks like sqrt(rho) alongside its
+    multiplier and is left in place.  Returns the duals and the number of
+    iterations, each of which is one step of the solve's budget.
     """
     z = np.asarray(prob.z, dtype=float)
     tau = np.asarray(prob.tau, dtype=float)
     cut = np.asarray(prob.cut, dtype=int)
     lam = float(prob.penalty)
-    T, d = z.shape
-    n_cuts = prob.n_cuts
-    ridge = 1e-8  # keeps one-sided cuts finite; duals are refined afterwards
-    gtol = 1e-8 * max(1.0, lam * np.sqrt(T))
+    beta = np.zeros(tau.size)
+    plus = np.bincount(cut, tau > 0, prob.n_cuts)
+    minus = np.bincount(cut, tau < 0, prob.n_cuts)
+    keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
+    if lam <= 0.0 or keep.size == 0 or budget <= 0:
+        return beta, 0
+    keep = keep[np.argsort(cut[keep], kind="stable")]
+    used, ck = np.unique(cut[keep], return_inverse=True)
+    n, m = keep.size, used.size
+    starts = np.searchsorted(ck, np.arange(m))
+    t = tau[keep]
+    zk = z[keep]
+    if zk.shape[1] > n:
+        zk = np.linalg.qr(zk.T, mode="r").T  # z^T = Q R: R^T has z's Gram matrix
+    d = zk.shape[1]
+    zt = np.sqrt(lam) * zk.T  # (d, n)
+    at = zt * t  # A^T
     eye = np.eye(d)
-    v, c = np.zeros(d), np.zeros(n_cuts)
-    r = np.ones(T)
-    best_beta = np.zeros(T)
-    cross_index = (cut[:, None] * d + np.arange(d)).ravel()
+    roundoff = 1e6 * np.finfo(float).eps * n * (1.0 + (at * at).sum(axis=0).max())
 
-    def smoothed(r, v, c):
-        """Residuals clipped to [0, mu] and the smoothed value."""
-        p = np.minimum(np.maximum(r, 0.0), mu)
-        return p, 0.5 * (v @ v) + (lam / mu) * (p @ (r - 0.5 * p)) + 0.5 * ridge * (c @ c)
+    def newton(h, rp):
+        """db, dy with (A A^T + D) db - E dy = h and E^T db = -rp."""
+        th = t * dinv * h
+        u = inverse @ (centred @ th - means @ rp)
+        g = (-rp - np.add.reduceat(th, starts)) / weight
+        return dinv * (h + t * (g[ck] - u @ centred)), g + u @ means
 
-    def gradient(p, v, c):
-        tw = tau * p
-        return v + (lam / mu) * (z.T @ tw), ridge * c - (lam / mu) * np.bincount(cut, tw, n_cuts)
+    def direction(r):
+        """Newton step that moves the complementarity products by -r."""
+        q = r / x[:2]
+        db, dy = newton(q[1] - q[0] - rd, rp)
+        ds = sign * db
+        return np.concatenate((ds, -q - ratio * ds)), dy
 
-    def quadratic_zone(r):
-        """Terms with 0 < r < mu and their count per cut."""
-        inside = (r > 0.0) & (r < mu)
-        return inside, np.bincount(cut[inside], minlength=n_cuts)
-
-    mu = 1.0
-    while mu >= _MU_FLOOR * 0.99:
-        converged = False
-        p, value = smoothed(r, v, c)
-        for _ in range(_NEWTON_CAP):
-            g_v, g_c = gradient(p, v, c)
-            if np.sqrt(g_v @ g_v + g_c @ g_c) <= gtol:
-                converged = True
-                break
-            quad_zone, counts = quadratic_zone(r)
-            starved = (counts == 0) & (g_c != 0.0)
-            if starved.any():
-                r, c = _recentre(r, c, tau, cut, starved, mu, lam, ridge)
-                p, value = smoothed(r, v, c)
-                g_v, g_c = gradient(p, v, c)
-                quad_zone, counts = quadratic_zone(r)
-            # Hessian of the quadratic-zone terms, tau_t^2 = 1:
-            # [z z^T, -z e_cut^T; -e_cut z^T, e_cut e_cut^T] per term.  Its cut
-            # block is diagonal, so the cuts are eliminated and only the d x d
-            # Schur complement is factorized.  Written as centred within-cut
-            # scatter plus a ridge-weighted scatter of the cut means, it is a
-            # sum of Gram matrices and so stays >= I in floating point too.
-            coef = lam / mu
-            zq, cq = z[quad_zone], cut[quad_zone]
-            sums = np.bincount(cross_index[np.repeat(quad_zone, d)], zq.ravel(),
-                               n_cuts * d).reshape(n_cuts, d)
-            diag = coef * counts + ridge
-            means = sums / np.maximum(counts, 1)[:, None]
-            zc = zq - means[cq]
-            schur = eye + coef * (zc.T @ zc) + (means.T * (ridge * coef * counts / diag)) @ means
-            dv = np.linalg.solve(schur, -g_v - coef * (sums.T @ (g_c / diag)))
-            dc = (coef * (sums @ dv) - g_c) / diag
-            if g_v @ dv + g_c @ dc > 0:
-                dv, dc = -g_v, -g_c
-            q = tau * (z @ dv - dc[cut])
-            t = _line_minimum(r, q, mu, lam, v @ dv + ridge * (c @ dc), dv @ dv + ridge * (dc @ dc))
-            v_t, c_t, r_t = v + t * dv, c + t * dc, r + t * q
-            p_t, value_t = smoothed(r_t, v_t, c_t)
-            # a step that only carries a residual across a zone edge may lower
-            # the value by less than roundoff, yet it changes the next Hessian
-            if value_t > value + 1e-14 * max(1.0, abs(value)):
-                break
-            v, c, r, p, value = v_t, c_t, r_t, p_t, value_t
-        if not converged:
+    # each cut's minority side at 1 and its majority side scaled to balance
+    # it, then shrunk to the best dual value along that ray
+    fewer = np.minimum(plus, minus)[used][ck]
+    b = fewer / np.where(t > 0, plus[used][ck], minus[used][ck])
+    ab = at @ b
+    b *= min(0.5, max(0.01, b.sum() / max(ab @ ab, 2.0 * b.sum())))
+    grad = (at @ b) @ at - 1.0
+    y = np.add.reduceat(t * grad, starts) / (plus + minus)[used]
+    rest = grad - t * y[ck]
+    # rows b, 1 - b, z_l, z_u
+    x = np.stack((b, 1.0 - b, np.maximum(rest, 0.0) + 1.0, np.maximum(-rest, 0.0) + 1.0))
+    sign = np.array([[1.0], [-1.0]])
+    prev = older = None
+    iterations = 0
+    while iterations < min(budget, _IPM_CAP):
+        b = x[0]
+        ab = at @ b
+        rd = ab @ at - 1.0 - t * y[ck] - x[2] + x[3]
+        if prev is not None and not np.abs(rd).max() <= roundoff:
+            x, prev = prev, older
             break
-        r = 1.0 + tau * (z @ v - c[cut])
-        best_beta = (lam / mu) * np.minimum(np.maximum(r, 0.0), mu)
-        mu *= 0.1
-    return best_beta
+        rp = np.add.reduceat(t * b, starts)
+        products = x[:2] * x[2:]
+        comp = products.sum()
+        if comp <= _IPM_GAP * (b.sum() - 0.5 * (ab @ ab)):
+            break
+        ratio = x[2:] / x[:2]
+        dinv = 1.0 / ratio.sum(axis=0)
+        weight = np.add.reduceat(dinv, starts)
+        means = np.add.reduceat(zt * dinv, starts, axis=1) / weight
+        centred = zt - means[:, ck]
+        inverse = np.linalg.inv(eye + (centred * dinv) @ centred.T)
+        step, dy = direction(products)
+        affine = x + _max_step(x, step) * step
+        sigma = ((affine[:2] * affine[2:]).sum() / comp) ** 3
+        step, dy = direction(products + step[:2] * step[2:] - sigma * comp / (2 * n))
+        alpha = 0.99 * _max_step(x, step)
+        older, prev = prev, x
+        x = x + alpha * step
+        y = y + alpha * dy
+        iterations += 1
+    b = x[0]
+    rho = (x[:2] * x[2:]).sum() / (prev[:2] * prev[2:]).sum() if prev is not None else 1.0
+    if rho <= 0.1:
+        heading = x[:2] * prev[2:] < np.sqrt(rho) * prev[:2] * x[2:]
+        heading &= x[:2] <= 1e-6
+        b = np.where(heading[0], 0.0, np.where(heading[1], 1.0, b))
+    beta[keep] = lam * b
+    return beta, iterations
+
+
+def _max_step(x, step):
+    """Largest step in [0, 1] along ``step`` that keeps the positive x nonnegative."""
+    return 1.0 / max(1.0, float((-step / x).max()))
 
 
 def _face_step(z, tau, block, grad):
@@ -337,8 +240,10 @@ def _face_step(z, tau, block, grad):
     block: the columns of G P are tau_t (z_t - mean of z over t's block).
     A thin SVD G P = U S V^T (d x f, rank at most d) gives the minimum-norm
     Newton step V S^-2 V^T grad and the ray (P - V V^T) grad, along which
-    the dual rises linearly; it is taken of (G P)^T, which is tall when the
-    working set outnumbers the features.  Returns (step, True) for a ray
+    the dual rises linearly.  It is taken of (G P)^T, which is tall when the
+    working set outnumbers the features; otherwise of the f x f factor R^T
+    from a QR G P = Q R, which has the same left singular vectors and values
+    and costs O(f^2 d) to form.  Returns (step, True) for a ray
     that is not negligible, (step, False) for the Newton step, and
     (None, False) when the balances leave no freedom.
     """
@@ -351,6 +256,8 @@ def _face_step(z, tau, block, grad):
     np.add.at(means, block, z)
     gp = (z - means[block] / sizes[block, None]) * tau[:, None]  # (G P)^T
     pgrad = grad - tau * (np.bincount(block, tau * grad) / sizes)[block]
+    if f < gp.shape[1]:
+        gp = np.linalg.qr(gp.T, mode="r").T
     basis, sv, _ = np.linalg.svd(gp, full_matrices=False)  # V of G P, as columns
     # the rank cut of a least-squares solve of the reduced (f - blocks)^2 system
     sv = sv[sv ** 2 > np.finfo(float).eps * (f - sizes.size) * sv[0] ** 2]
@@ -386,7 +293,11 @@ class _DualSolver:
         self.tau = np.asarray(self.prob.tau, dtype=float)[self.perm]
         self.cut = cut[self.perm]
         self.beta = self._beta_orig[self.perm].copy()
-        np.clip(self.beta, 0.0, self.lam, out=self.beta)
+        # the sweeps and the working set count a dual within the slack of a
+        # bound as on it, and nothing else would ever move it there
+        tiny = _BOUND_SLACK * max(1.0, self.lam)
+        self.beta[self.beta <= tiny] = 0.0
+        self.beta[self.beta >= self.lam - tiny] = self.lam
         self.znorm = np.einsum("ij,ij->i", self.z, self.z)
         counts = np.bincount(block_of_cut[self.cut], minlength=len(self.blocks))
         ends = np.cumsum(counts)
@@ -398,17 +309,28 @@ class _DualSolver:
         self._refresh()
 
     def _restore_balance(self):
-        """Project the warm-start duals back onto the balance constraints."""
+        """Project the warm-start duals back onto the balance constraints.
+
+        Each block's excess comes off the free duals on its heavy side, or
+        else goes onto the free duals on its light side, when they can take
+        it, so duals on a bound stay there; failing both it comes off the
+        whole heavy side.
+        """
         for sl in self.slices:
             t = self.tau[sl]
             b = self.beta[sl]
             resid = float(t @ b)
             if resid == 0.0:
                 continue
-            side = t * np.sign(resid) > 0
-            mass = b[side].sum()
-            if mass >= abs(resid) and mass > 0:
-                b[side] -= b[side] * (abs(resid) / mass)
+            heavy = t * np.sign(resid) > 0
+            free = (b > 0.0) & (b < self.lam)
+            # lowering a heavy dual or raising a light one cuts the excess
+            toward = np.where(heavy, 1.0, -1.0)
+            for share in (b * (free & heavy), (self.lam - b) * (free & ~heavy), b * heavy):
+                total = share.sum()
+                if total >= abs(resid) and total > 0:
+                    b -= toward * share * (abs(resid) / total)
+                    break
             else:
                 b[:] = 0.0
             self.beta[sl] = b
@@ -722,19 +644,26 @@ class _DualSolver:
 def solve_hinge_dual(prob, tol=1e-6):
     """Minimize the reduced subproblem; returns a :class:`HingeSolution`.
 
-    Every solve starts from the smoothed-Newton warm start, or from the zero
-    dual when that start's dual value is below zero's.  Raises
+    Every solve starts from the interior-point warm start, or from the zero
+    dual when that start's dual value is below zero's; each interior-point
+    iteration counts as one step of the budget and of ``steps``.  Raises
     :class:`NonConvergence` when the duality gap cannot be closed: the step
     budget of :func:`default_budget` ran out (``budget``), the SMO tolerance
     reached its floor (``eps-floor``), or the tie loop kept changing the
     block structure (``outer-cap``).
     """
-    solver = _DualSolver(prob, warm=_huber_warm_start(prob))
+    beta, iterations = _ipm_warm_start(prob, default_budget(prob.z.shape))
+    solver = _DualSolver(prob, warm=beta)
     if solver._dual() < 0.0:
         solver = _DualSolver(prob)
+    solver.steps = iterations
     return solver.solve(tol)
 
 
 def default_budget(shape):
-    """SMO steps a solve of a (terms, dim) problem may take before NonConvergence."""
+    """Steps a solve of a (terms, dim) problem may take before NonConvergence.
+
+    Interior-point iterations, SMO pair steps and polish face steps each
+    count as one.
+    """
     return max(200_000, 50 * shape[0] * max(shape[1], 1))

@@ -1,5 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
+
+import genage.pls
 
 from genage import Dataset, fit_pls, fit_pls_dataset, predict_pls, predict_pls_batch
 from genage.errors import BadConfig, DimensionMismatch, RankDeficient
@@ -195,3 +199,34 @@ def test_single_and_batch_decoding_agree_on_ties_and_zero():
     genders, ranks = predict_pls_batch(model, X)
     assert genders.tolist() == want_genders and ranks.tolist() == want_ranks
     assert [predict_pls(model, x) for x in X] == list(zip(want_genders, want_ranks))
+
+
+def allclose_fit_pls():
+    """fit_pls with its NIPALS zero checks written as np.allclose(x, 0.0),
+    the form the max-abs tests replaced."""
+    source = inspect.getsource(genage.pls.fit_pls)
+    for name in ("u", "q"):
+        check = f"np.abs({name}).max() <= 1e-8"
+        assert check in source
+        source = source.replace(check, f"np.allclose({name}, 0.0)")
+    namespace = dict(vars(genage.pls))
+    exec(source, namespace)
+    return namespace["fit_pls"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_checks_decide_as_allclose(seed):
+    """Seeded fits, among them targets that deflate to zero before the last
+    component (an exact linear map of rank 2) and a target column orthogonal
+    to X, are bit-identical to the np.allclose form."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(30, 6))
+    exact = X @ rng.normal(size=(6, 2))
+    orthogonal = np.linalg.svd(np.column_stack([np.ones(30), X]))[0][:, -1]
+    noisy = np.column_stack([np.sign(X[:, 0] + 0.3 * rng.normal(size=30)), X @ rng.normal(size=6)])
+    reference = allclose_fit_pls()
+    for Y in (exact, np.column_stack([orthogonal, X[:, 1]]), noisy):
+        for components in (1, 3, 5):
+            got, want = fit_pls(X, Y, n_components=components), reference(X, Y, n_components=components)
+            for name in ("x_weights", "x_loadings", "y_loadings", "coefficients"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name

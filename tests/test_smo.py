@@ -1,135 +1,74 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from genage import SynthConfig, generate, smo, solve_svm, solve_svor
 from genage.errors import NonConvergence
-from genage.smo import _face_step, _line_minimum, _recentre, _shrink_coefficient
+from genage.smo import _face_step, _ipm_warm_start, _shrink_coefficient
 
 from _oracles import svm_oracle, svor_oracle
 
 
-# --------------------------------------------------- exact line minimiser
+# --------------------------------------------------- interior-point warm start
 
-def smoothed_hinge(x, mu):
-    return np.where(x >= mu, x - 0.5 * mu, 0.5 * np.clip(x, 0.0, None) ** 2 / mu)
-
-
-def phi(t, r, q, mu, lam, a, b):
-    return a * t + 0.5 * b * t * t + lam * smoothed_hinge(r + t * q, mu).sum()
-
-
-def dphi(t, r, q, mu, lam, a, b):
-    return a + b * t + lam * (q * np.clip((r + t * q) / mu, 0.0, 1.0)).sum()
-
-
-@st.composite
-def line_problems(draw):
-    mu = draw(st.floats(1e-3, 1.0))
-    size = draw(st.integers(1, 24))
-    # residuals sitting exactly on a zone edge are the tie cases
-    r = np.array(draw(st.lists(
-        st.one_of(st.floats(-3.0, 3.0), st.just(0.0), st.just(mu)), min_size=size, max_size=size)))
-    q = np.array(draw(st.lists(
-        st.one_of(st.floats(-3.0, 3.0), st.just(0.0)), min_size=size, max_size=size)))
-    lam = draw(st.floats(0.1, 100.0))
-    a = draw(st.floats(-50.0, 50.0))
-    b = draw(st.floats(1e-3, 10.0))
-    return r, q, mu, lam, a, b
+def random_hinge_problem(seed):
+    """Seeded chain-free problems: 1-5 cuts, 6-79 terms, d from 1 to more
+    than the terms, features scaled by 1e-4, 1 or 1e4, lambda from 1e-2 to
+    1e4; some with one one-sided cut, some with every cut one-sided."""
+    rng = np.random.default_rng(seed)
+    n_cuts = int(rng.integers(1, 6))
+    size = int(rng.integers(6, 80))
+    d = int(rng.choice([1, 3, 8, 120]))
+    z = rng.normal(size=(size, d)) * 10.0 ** rng.choice([-4.0, 0.0, 0.0, 4.0])
+    cut = rng.integers(0, n_cuts, size)
+    tau = rng.choice([-1.0, 1.0], size)
+    shape = rng.integers(0, 4)
+    if shape == 1:
+        tau[cut == 0] = 1.0
+    elif shape == 2:
+        tau = np.where(cut % 2 == 0, 1.0, -1.0)
+    return smo.HingeProblem(z, tau, cut, n_cuts, (), float(10.0 ** rng.uniform(-2.0, 4.0)))
 
 
-@settings(deadline=None)
-@given(line_problems())
-# a tiny q puts its breakpoints near the float maximum, past the minimiser
-@example((np.array([3.0, 0.5]), np.array([-2e-308, 1.0]), 1.0, 1.0, -5.0, 10.0))
-def test_line_minimum_is_the_exact_minimiser(problem):
-    r, q, mu, lam, a, b = problem
-    t = _line_minimum(r, q, mu, lam, a, b)
-    assert np.isfinite(t) and t >= 0.0
-    eps = 1e-6 * max(1.0, t)
-    if t > 0.0:
-        assert dphi(t - eps, *problem) <= 0.0
-    assert dphi(t + eps, *problem) >= 0.0
-    with np.errstate(all="ignore"):
-        kinks = np.concatenate([-r / q, (mu - r) / q])
-    grid = np.concatenate([np.linspace(0.0, 2.0 * t + 1.0, 2001), kinks[(kinks > 0) & (kinks < 1e100)]])
-    best = min(phi(s, *problem) for s in grid)
-    value = phi(t, *problem)
-    assert value <= best + 1e-12 * max(1.0, abs(best))
+@pytest.mark.parametrize("seed", range(40))
+def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
+    prob = random_hinge_problem(seed)
+    beta, iterations = _ipm_warm_start(prob, smo.default_budget(prob.z.shape))
+    assert np.all(beta >= 0.0) and np.all(beta <= prob.penalty)
+    both = np.bincount(prob.cut, prob.tau > 0, prob.n_cuts) * np.bincount(prob.cut, prob.tau < 0, prob.n_cuts)
+    one_sided = both == 0
+    assert np.all(beta[one_sided[prob.cut]] == 0.0)
+    solver = smo._DualSolver(prob, warm=beta)
+    solver._sync_original()
+    balance = np.bincount(prob.cut, prob.tau * solver._beta_orig, prob.n_cuts)
+    assert np.abs(balance).max() <= 1e-12 * prob.penalty * prob.z.shape[0]
+    best = smo.solve_hinge_dual(prob, tol=1e-7).objective
+    assert best - solver._dual() <= 1e-6 * (1.0 + abs(best))
+    if one_sided.all():
+        assert iterations == 0 and not beta.any()
 
 
-
-def test_line_minimum_breaks_ties_at_the_start_of_the_path():
-    """At theta = 0 and mu = 1 every residual equals mu.  The terms whose q
-    is negative enter the quadratic zone: phi'(t) = -30 + 15 + 13.5 t until
-    the q = -1 term reaches 0 at t = 1, then -1.5 + 3.5 (t - 1)."""
-    t = _line_minimum(np.ones(4), np.array([1.0, -1.0, 2.0, -0.5]), 1.0, 10.0, -30.0, 1.0)
-    assert t == pytest.approx(1.0 + 1.5 / 3.5, rel=1e-12)
-
-
-# --------------------------------------------------- starved-cut re-centring
-
-def cut_value(x, j, r, c, tau, cut, mu, lam, ridge):
-    """The smoothed objective's part in cut j with its value moved to x."""
-    mine = cut == j
-    return lam * smoothed_hinge(r[mine] - tau[mine] * (x - c[j]), mu).sum() + 0.5 * ridge * x * x
-
-
-def cut_slope(x, j, r, c, tau, cut, mu, lam, ridge):
-    mine = cut == j
-    return ridge * x - lam * (tau[mine] * np.clip((r[mine] - tau[mine] * (x - c[j])) / mu, 0.0, 1.0)).sum()
-
-
-@st.composite
-def recentre_problems(draw):
-    mu = draw(st.floats(1e-3, 1.0))
-    n_cuts = draw(st.integers(1, 5))
-    size = draw(st.integers(1, 20))
-    r = np.array(draw(st.lists(
-        st.one_of(st.floats(-3.0, 3.0), st.just(0.0), st.just(mu)), min_size=size, max_size=size)))
-    tau = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
-    cut = np.array(draw(st.lists(st.integers(0, n_cuts - 1), min_size=size, max_size=size)))
-    c = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n_cuts, max_size=n_cuts)))
-    chosen = np.array(draw(st.lists(st.booleans(), min_size=n_cuts, max_size=n_cuts)))
-    lam = draw(st.floats(0.1, 100.0))
-    ridge = draw(st.sampled_from([1e-8, 1e-3, 1.0]))
-    return r, c, tau, cut, chosen, mu, lam, ridge
-
-
-@settings(deadline=None)
-@given(recentre_problems())
-# cut 0 has every term in the zero zone: only the ridge pulls on it until a
-# term reaches the quadratic zone; cut 1 has one term on each zone edge
-@example((np.array([-1.0, -2.0, 0.0, 0.5]), np.array([5.0, -1.0]), np.array([1.0, 1.0, -1.0, 1.0]),
-          np.array([0, 0, 1, 1]), np.array([True, True]), 0.5, 1.0, 0.1))
-def test_recentre_minimises_each_chosen_cut_exactly(problem):
-    r, c, tau, cut, chosen, mu, lam, ridge = problem
-    new_r, new_c = _recentre(r, c, tau, cut, chosen, mu, lam, ridge)
-    args = (r, c, tau, cut, mu, lam, ridge)
-    for j in range(c.size):
-        mine = cut == j
-        if not chosen[j]:
-            assert new_c[j] == c[j] and np.array_equal(new_r[mine], r[mine])
-            continue
-        x = new_c[j]
-        assert np.allclose(new_r[mine], r[mine] - tau[mine] * (x - c[j]), rtol=0.0, atol=1e-12 * max(1.0, abs(x)))
-        # one-sided derivatives bracket 0
-        eps = 1e-7 * max(1.0, abs(x))
-        scale = 1e-9 * (lam * max(1, mine.sum()) / mu + ridge * abs(x))
-        assert cut_slope(x - eps, j, *args) <= scale
-        assert cut_slope(x + eps, j, *args) >= -scale
-        # and the value is a grid minimum that includes every breakpoint
-        edges = np.concatenate([c[j] + r[mine] / tau[mine], c[j] + (r[mine] - mu) / tau[mine]])
-        grid = np.concatenate([np.linspace(c[j] - 2.0 * abs(x - c[j]) - 1.0,
-                                           c[j] + 2.0 * abs(x - c[j]) + 1.0, 2001), edges, [0.0]])
-        best = min(cut_value(g, j, *args) for g in grid)
-        value = cut_value(x, j, *args)
-        assert value <= best + 1e-12 * max(1.0, abs(best))
-    # the smoothed value cannot rise
-    before = lam * smoothed_hinge(r, mu).sum() + 0.5 * ridge * (c @ c)
-    after = lam * smoothed_hinge(new_r, mu).sum() + 0.5 * ridge * (new_c @ new_c)
-    assert after <= before + 1e-12 * max(1.0, abs(before))
+def test_duals_within_the_bound_slack_are_put_on_their_bound():
+    """The classifier at lambda = 1e4 from its certified optimum, with 5e-9 to
+    5e-7 put on each zero dual (the slack is 1e-6) and the balance restored:
+    the sweeps and the polish count those duals as on the bound, so unless
+    the layout puts them there nothing moves them and the gap stays open."""
+    ds = generate(SynthConfig(discrepancy=2.0, seed=19))
+    prob = smo.HingeProblem(ds.features, -ds.gender.astype(float), np.zeros(ds.features.shape[0], dtype=int),
+                            1, (), 1e4)
+    solver = smo._DualSolver(prob)
+    solver.solve(1e-9)
+    solver._sync_original()
+    optimum = solver._beta_orig
+    zero = optimum == 0.0
+    assert zero.sum() == 392
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        warm = optimum.copy()
+        warm[zero] = rng.uniform(5e-9, 5e-7, zero.sum())
+        heavy = (prob.tau * np.sign(prob.tau @ warm) > 0) & ~zero & (warm < prob.penalty)
+        warm[heavy] -= (prob.tau @ warm) / prob.tau[heavy].sum()
+        sol = smo._DualSolver(prob, warm=warm).solve(1e-6)
+        assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
 
 
 # --------------------------------------------------- rank-one whitening
@@ -190,16 +129,16 @@ def test_face_step_without_freedom_is_none():
 
 def test_warm_started_solves_match_the_qp_oracles(monkeypatch):
     """100 samples give 100 and 160 hinge terms; both solves start from the
-    smoothed-Newton warm start."""
+    interior-point warm start."""
     ds = generate(SynthConfig(samples_per_cell=10, gender_gap=1.0, seed=8))
     X, genders, ranks = ds.features, ds.gender, ds.age_rank
     rng = np.random.default_rng(8)
     w_a = np.eye(ds.dim)[1] + 0.1 * rng.normal(size=ds.dim)
     w_g = np.eye(ds.dim)[0] + 0.1 * rng.normal(size=ds.dim)
     sizes = []
-    warm_start = smo._huber_warm_start
-    monkeypatch.setattr(smo, "_huber_warm_start",
-                        lambda prob: sizes.append(prob.z.shape[0]) or warm_start(prob))
+    warm_start = smo._ipm_warm_start
+    monkeypatch.setattr(smo, "_ipm_warm_start",
+                        lambda prob, budget: sizes.append(prob.z.shape[0]) or warm_start(prob, budget))
 
     sol = solve_svm(ds, 10.0, anchor=w_a, lambda3=10.0, tol=1e-9)
     ref = svm_oracle(X, genders, 10.0, w_a, 10.0)
@@ -213,17 +152,16 @@ def test_warm_started_solves_match_the_qp_oracles(monkeypatch):
 
 @pytest.mark.parametrize("split", [False, True])
 def test_warm_start_hands_over_a_near_optimal_dual_at_large_k(monkeypatch, split):
-    """40 ranks as in ages-in-years data: 39 or 78 cuts, most of them with
-    no term in the smoothing zone at some Newton step."""
+    """40 ranks as in ages-in-years data: 39 or 78 cuts."""
     cuts = tuple(np.linspace(-20.0, 20.0, 39))
     ds = generate(SynthConfig(num_ranks=40, samples_per_cell=4, male_cut_centers=cuts,
                               discrepancy=1.0, seed=3))
     handed = []
-    warm_start = smo._huber_warm_start
-    monkeypatch.setattr(smo, "_huber_warm_start",
-                        lambda prob: handed.append((prob, warm_start(prob))) or handed[-1][1])
+    warm_start = smo._ipm_warm_start
+    monkeypatch.setattr(smo, "_ipm_warm_start",
+                        lambda prob, budget: handed.append((prob, warm_start(prob, budget))) or handed[-1][1])
     solve_svor(ds, 10.0, split_thresholds=split)
-    prob, beta = handed[0]
+    prob, (beta, _) = handed[0]
     best = smo.solve_hinge_dual(prob, tol=1e-10).objective
     assert best - smo._DualSolver(prob, warm=beta)._dual() <= 1e-6 * best
 
@@ -238,6 +176,25 @@ def test_exhausted_step_budget_raises_non_convergence(monkeypatch):
     with pytest.raises(NonConvergence) as raised:
         solve_svor(ds, 10.0)
     assert raised.value.gap > 0.0
+
+
+def test_interior_point_iterations_count_as_steps(monkeypatch):
+    """The dual finish starts its step count, and so the budget it spends,
+    at the warm start's iterations."""
+    ds = generate(SynthConfig(dim=4, samples_per_cell=4, noise_sigma=1.0, seed=0))
+    counted, started = [], []
+    warm_start, finish = smo._ipm_warm_start, smo._DualSolver.solve
+
+    def recording(prob, budget):
+        beta, iterations = warm_start(prob, budget)
+        counted.append(iterations)
+        return beta, iterations
+
+    monkeypatch.setattr(smo, "_ipm_warm_start", recording)
+    monkeypatch.setattr(smo._DualSolver, "solve", lambda self, tol: started.append(self.steps) or finish(self, tol))
+    sol = solve_svor(ds, 10.0)
+    assert counted[0] > 0 and started == counted
+    assert sol.iterations >= counted[0]
 
 
 def _no_steps(monkeypatch):
