@@ -56,9 +56,8 @@ class DegenerateGender(GenAgeError):
 class NonConvergence(GenAgeError):
     """The solver stopped before its duality gap reached tolerance.
 
-    ``reason`` names the exit: ``budget`` (the step budget ran out),
-    ``eps-floor`` (the SMO tolerance reached its floor with steps to spare)
-    or ``outer-cap`` (the tie loop kept changing the block structure).
+    ``reason`` names the exit: ``budget`` (the step budget ran out) or
+    ``eps-floor`` (the SMO tolerance reached its floor with steps to spare).
     """
 
     def __init__(self, iterations, reason, gap=None):

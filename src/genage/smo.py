@@ -7,23 +7,29 @@ After the rank-one metric substitution both subproblems take the form
 
 where each hinge term t carries a feature row ``z_t``, an orientation
 ``tau_t`` (+1 pushes the score below its cut by the unit margin, -1 pushes
-it above) and the index of the cut it references.  The gender classifier is
-the special case of a single cut (the negated bias) and no chain.
+it above) and the index of the cut it references.  A chain is a run of
+consecutive cut ids.  The gender classifier is the special case of a single
+cut (the negated bias) and no chain.
+
+In the dual with explicit order constraints (Chu & Keerthi, "New approaches
+to support vector ordinal regression", ICML 2005) the multiplier of
+c[j] <= c[j+1] is the running sum along the chain of the cut balances
+``sum_{t in cut} tau_t beta_t`` up to cut j.  Each must stay >= 0, a whole
+chain sums to 0 and a cut outside every chain balances on its own.
 
 Every solve starts from the duals of a Mehrotra predictor-corrector
 interior-point solve of the box-constrained dual without the chains
-(:func:`_ipm_warm_start`).  From there the dual is ascended with pairwise
-SMO steps that preserve the per-cut balance constraints
-``sum_{t in cut} tau_t beta_t = 0``; each sweep applies one
-second-order-selected pair per tie block, and a Newton polish on the face of
-the working set finishes what the sweeps identify.  Order
-constraints between cuts are handled by an active-set loop over tie
-patterns: neighbouring cuts whose unconstrained optima cross are merged
-into one block, together with any cuts between them that hold no terms,
-and blocks whose internal multipliers turn negative are split again.  Cut
+(:func:`_ipm_warm_start`), where every running sum is 0.  From there the
+dual is ascended with pairwise SMO steps, one per tie segment and sweep: a
+segment is a maximal run of a chain's cuts joined by positive running
+sums.  A pair that moves balance to an earlier cut raises the running sums
+between the two cuts and so ties them; one that moves it to a later cut
+lowers them and stops where one reaches 0, which unties them.  No tie
+pattern is searched.  A Newton polish on the face of the free duals, with
+the segments as its balance blocks, finishes what the sweeps identify.  Cut
 values are recovered from the exact one-dimensional piecewise-linear
-minimization given the current v, which keeps the reported primal value a
-true upper bound for the duality-gap stopping test.
+minimization of each segment given the current v, which keeps the reported
+primal value a true upper bound for the duality-gap stopping test.
 """
 
 from __future__ import annotations
@@ -77,8 +83,18 @@ class HingeProblem:
     tau: np.ndarray        # (T,) orientations, +-1
     cut: np.ndarray        # (T,) cut index per term
     n_cuts: int
-    chains: tuple          # ordered tuples of cut ids that must stay sorted
+    chains: tuple          # runs of consecutive ascending cut ids that must stay sorted
     penalty: float
+
+    def __post_init__(self):
+        seen = np.zeros(self.n_cuts, dtype=bool)
+        for chain in self.chains:
+            ids = np.asarray(chain)
+            if (ids.ndim != 1 or ids.size == 0 or ids[0] < 0 or ids[-1] >= self.n_cuts
+                    or np.any(ids != ids[0] + np.arange(ids.size)) or seen[ids].any()):
+                raise ValueError(f"chain {chain!r} is not a run of consecutive ascending cut ids "
+                                 f"below {self.n_cuts} disjoint from the other chains")
+            seen[ids] = True
 
 
 @dataclass
@@ -94,7 +110,6 @@ _IPM_CAP = 60  # interior-point iterations per warm start
 _IPM_GAP = 1e-8  # relative complementarity gap at which the warm start hands over
 _POLISH_ROUNDS = 60  # Newton face steps per polish
 _POLISH_CAP = 600  # largest working set the polish factorizes
-_POLISH_RECRUIT = 48  # bound-sitting KKT violators added to the first working set
 
 
 def _ipm_warm_start(prob, budget):
@@ -274,118 +289,151 @@ class _DualSolver:
         self.prob = prob
         self.lam = float(prob.penalty)
         self.T = prob.z.shape[0]
-        self.blocks = [[j] for j in range(prob.n_cuts)]
-        self._beta_orig = np.zeros(self.T) if warm is None else np.array(warm, dtype=float)
-        self.steps = 0
-        self._layout()
-
-    # ------------------------------------------------------------------ setup
-
-    def _layout(self):
-        """Physically sort the terms so every tie block is one contiguous slice."""
-        block_of_cut = np.empty(self.prob.n_cuts, dtype=int)
-        for bi, blk in enumerate(self.blocks):
-            for j in blk:
-                block_of_cut[j] = bi
-        cut = np.asarray(self.prob.cut, dtype=int)
-        self.perm = np.argsort(block_of_cut[cut], kind="stable") if self.T else np.empty(0, int)
-        self.z = np.ascontiguousarray(np.asarray(self.prob.z, dtype=float)[self.perm])
-        self.tau = np.asarray(self.prob.tau, dtype=float)[self.perm]
+        # sorted by cut once: each run of cuts, and so each tie segment, is one slice
+        cut = np.asarray(prob.cut, dtype=int)
+        self.perm = np.argsort(cut, kind="stable")
+        self.z = np.ascontiguousarray(np.asarray(prob.z, dtype=float)[self.perm])
+        self.tau = np.asarray(prob.tau, dtype=float)[self.perm]
         self.cut = cut[self.perm]
-        self.beta = self._beta_orig[self.perm].copy()
+        self.beta = np.zeros(self.T) if warm is None else np.asarray(warm, dtype=float)[self.perm]
         # the sweeps and the working set count a dual within the slack of a
         # bound as on it, and nothing else would ever move it there
         tiny = _BOUND_SLACK * max(1.0, self.lam)
         self.beta[self.beta <= tiny] = 0.0
         self.beta[self.beta >= self.lam - tiny] = self.lam
         self.znorm = np.einsum("ij,ij->i", self.z, self.z)
-        counts = np.bincount(block_of_cut[self.cut], minlength=len(self.blocks))
-        ends = np.cumsum(counts)
-        self.slices = [slice(int(e - c), int(e)) for c, e in zip(counts, ends)]
-        self.block_id = np.empty(self.T, dtype=int)
-        for bi, sl in enumerate(self.slices):
-            self.block_id[sl] = bi
+        self.bounds = np.searchsorted(self.cut, np.arange(prob.n_cuts + 1)).tolist()
+        self.chains = [slice(chain[0], chain[-1] + 1) for chain in prob.chains]
+        # no running sum joins the last cut of a chain, or a cut in no chain, to the next cut
+        self.tail = np.ones(prob.n_cuts, dtype=bool)
+        for ch in self.chains:
+            self.tail[ch.start: ch.stop - 1] = False
+        self.steps = 0
         self._restore_balance()
         self._refresh()
 
-    def _restore_balance(self):
-        """Project the warm-start duals back onto the balance constraints.
+    # ------------------------------------------------------------------ setup
 
-        Each block's excess comes off the free duals on its heavy side, or
+    def _restore_balance(self):
+        """Project the warm-start duals back onto the per-cut balances.
+
+        Each cut's excess comes off the free duals on its heavy side, or
         else goes onto the free duals on its light side, when they can take
         it, so duals on a bound stay there; failing both it comes off the
         whole heavy side.
         """
-        for sl in self.slices:
-            t = self.tau[sl]
-            b = self.beta[sl]
-            resid = float(t @ b)
+        for a, b in zip(self.bounds[:-1], self.bounds[1:]):
+            t = self.tau[a:b]
+            beta = self.beta[a:b]
+            resid = float(t @ beta)
             if resid == 0.0:
                 continue
             heavy = t * np.sign(resid) > 0
-            free = (b > 0.0) & (b < self.lam)
+            free = (beta > 0.0) & (beta < self.lam)
             # lowering a heavy dual or raising a light one cuts the excess
             toward = np.where(heavy, 1.0, -1.0)
-            for share in (b * (free & heavy), (self.lam - b) * (free & ~heavy), b * heavy):
+            for share in (beta * (free & heavy), (self.lam - beta) * (free & ~heavy), beta * heavy):
                 total = share.sum()
                 if total >= abs(resid) and total > 0:
-                    b -= toward * share * (abs(resid) / total)
+                    beta -= toward * share * (abs(resid) / total)
                     break
             else:
-                b[:] = 0.0
-            self.beta[sl] = b
+                beta[:] = 0.0
 
     def _refresh(self):
         self.v = -(self.z.T @ (self.tau * self.beta))
         self.s = self.z @ self.v
 
-    def _sync_original(self):
-        self._beta_orig[self.perm] = self.beta
+    def duals(self):
+        """The duals in the problem's term order."""
+        beta = np.empty(self.T)
+        beta[self.perm] = self.beta
+        return beta
+
+    def _running_sums(self, per_cut):
+        """Running sums of a per-cut array along each chain; 0 off the chains."""
+        sums = np.zeros(self.prob.n_cuts)
+        for ch in self.chains:
+            sums[ch] = np.cumsum(per_cut[ch])
+        return sums
+
+    def _segments(self):
+        """The tie segments of the current duals and the order multipliers.
+
+        The multiplier of c[k] <= c[k+1] is the running sum along the chain
+        of the cut balances sum_{t in cut} tau_t beta_t.  Cut k joins cut k+1
+        in one segment while it exceeds the slack.  Returns the segments as
+        (first cut, end cut) pairs, the running sums and the joined mask.
+        """
+        balances = np.bincount(self.cut, self.tau * self.beta, self.prob.n_cuts)
+        sums = self._running_sums(balances)
+        joined = ~self.tail & (sums > _BOUND_SLACK * max(1.0, self.lam))
+        ends = (np.flatnonzero(~joined) + 1).tolist()
+        return list(zip([0] + ends[:-1], ends)), sums, joined
 
     # -------------------------------------------------------------- SMO sweeps
 
     def _sweep(self, eps):
-        """One pass over the blocks, applying up to one pair update each.
+        """One pass over the tie segments, applying up to one pair update each.
 
-        Returns the largest KKT violation seen across the blocks.
+        A pair raises tau_i beta_i and lowers tau_j beta_j by the same h, so
+        it moves h of balance from cut[j] to cut[i].  j comes from the
+        segment, i from it or from an earlier segment of its chain: an
+        earlier cut[i] raises the running sums between the cuts, which never
+        breaks their sign; a later one lowers them, so h stops where the
+        smallest of them reaches 0.  Returns the largest KKT violation seen.
         """
-        lam, tau, beta, z = self.lam, self.tau, self.beta, self.z
+        lam, tau, beta, z, s = self.lam, self.tau, self.beta, self.z, self.s
         tiny = _BOUND_SLACK * max(1.0, lam)
+        segments, sums, _ = self._segments()
         worst = 0.0
-        for sl in self.slices:
+        carry = -1  # the best raisable term of the chain's earlier segments
+        for first, end in segments:
+            if first == 0 or self.tail[first - 1]:
+                carry = -1
+            sl = slice(self.bounds[first], self.bounds[end])
             if sl.stop == sl.start:
                 continue
             tb = tau[sl]
             bb = beta[sl]
-            m = tb + self.s[sl]
+            m = tb + s[sl]
             up = np.where(tb > 0, bb < lam - tiny, bb > tiny)
             lo = np.where(tb > 0, bb > tiny, bb < lam - tiny)
-            if not up.any() or not lo.any():
+            i, m_i = -1, -np.inf
+            if carry >= 0 and (beta[carry] < lam - tiny if tau[carry] > 0 else beta[carry] > tiny):
+                i, m_i = carry, tau[carry] + s[carry]
+            if up.any():
+                i_loc = int(np.argmax(np.where(up, m, -np.inf)))
+                if m[i_loc] >= m_i:
+                    i, m_i = sl.start + i_loc, m[i_loc]
+            carry = i
+            if i < 0 or not lo.any():
                 continue
-            i_loc = int(np.argmax(np.where(up, m, -np.inf)))
-            m_i = m[i_loc]
-            m_lo = np.where(lo, m, np.inf)
-            viol = m_i - float(m_lo.min())
+            viol = m_i - float(np.where(lo, m, np.inf).min())
             worst = max(worst, viol)
             if viol <= eps:
                 continue
-            i = sl.start + i_loc
-            zi = z[i]
-            quad_all = np.maximum(self.znorm[sl] + self.znorm[i] - 2.0 * (z[sl] @ zi), 1e-12)
+            quad_all = np.maximum(self.znorm[sl] + self.znorm[i] - 2.0 * (z[sl] @ z[i]), 1e-12)
             gain = np.where(lo & (m < m_i), (m_i - m) ** 2 / quad_all, -np.inf)
             j_loc = int(np.argmax(gain))
             j = sl.start + j_loc
-            diff = m_i - m[j_loc]
             h_i = (lam - beta[i]) if tau[i] > 0 else beta[i]
             h_j = beta[j] if tau[j] > 0 else (lam - beta[j])
             h = min(h_i, h_j)
             quad = quad_all[j_loc]
             if quad > 1e-12:
-                h = min(h, diff / quad)
+                h = min(h, (m_i - m[j_loc]) / quad)
+            cut_i, cut_j = self.cut[i], self.cut[j]
+            if cut_i > cut_j:
+                h = min(h, float(sums[cut_j:cut_i].min()))
             if h <= 0.0:
                 continue
             beta[i] = min(max(beta[i] + tau[i] * h, 0.0), lam)
             beta[j] = min(max(beta[j] - tau[j] * h, 0.0), lam)
+            if cut_i < cut_j:
+                sums[cut_i:cut_j] += h
+            else:
+                sums[cut_j:cut_i] -= h
             dv = -h * (z[i] - z[j])
             self.v += dv
             self.s += z @ dv
@@ -401,60 +449,36 @@ class _DualSolver:
             if sweeps % 64 == 0:
                 self._polish()
             if sweeps % 512 == 0:
-                self._refresh()  # guard against drift in the running sums
+                self._refresh()  # guard against drift in the updated v and scores
 
     # ----------------------------------------------------- Newton face polish
 
-    def _working_set(self, tiny, recruit):
-        """Free duals plus the worst bound-sitting KKT violators.
-
-        Pairwise sweeps move bound duals only two at a time, which crawls
-        when many blocks couple through v; recruiting the violators into the
-        face solve lets one Newton step restructure the bounds jointly.
-        """
-        free_mask = (self.beta > tiny) & (self.beta < self.lam - tiny)
-        idx = [np.flatnonzero(free_mask)]
-        if recruit > 0:
-            m = self.tau + self.s
-            scores = np.full(self.T, -np.inf)
-            for sl in self.slices:
-                fm = free_mask[sl]
-                if not fm.any():
-                    continue
-                mb = m[sl]
-                nu = 0.5 * (mb[fm].max() + mb[fm].min())
-                at_zero = ~fm & (self.beta[sl] <= tiny)
-                at_lam = ~fm & (self.beta[sl] >= self.lam - tiny)
-                sc = np.where(at_zero, mb - nu, np.where(at_lam, nu - mb, -np.inf))
-                scores[sl] = sc
-            order = np.argsort(scores)[::-1][:recruit]
-            idx.append(order[scores[order] > 1e-12])
-        out = np.unique(np.concatenate(idx))
-        return out
-
     def _polish(self):
-        """Maximize the dual over the working set with a null-space Newton.
+        """Maximize the dual over the free duals with a null-space Newton.
 
-        SMO identifies the active box structure; the working set (free duals
-        plus KKT-violating bound duals) is optimized jointly subject to the
-        block balances.  The reduced Hessian has rank at most the feature
-        dimension, so the face can be unbounded: the consistent part of the
-        Newton system is solved by least squares and any leftover linear
-        ascent ray is ridden to the box.  Variables blocking a step are
-        ejected from the working set instead of killing the step.
+        SMO identifies the active box structure; the free duals are
+        optimized jointly subject to the balance of each tie segment.  The
+        reduced Hessian has rank at most the feature dimension, so the face
+        can be unbounded: the consistent part of the Newton system is solved
+        by least squares and any leftover linear ascent ray is ridden to the
+        box.  Variables blocking a step are ejected from the working set
+        instead of killing the step, and a step is cut short where a
+        positive running sum would turn negative.
         """
         lam = self.lam
         tiny = _BOUND_SLACK * max(1.0, lam)
         banned = np.zeros(self.T, dtype=bool)
-        for round_no in range(_POLISH_ROUNDS):
-            work = self._working_set(tiny, _POLISH_RECRUIT if round_no == 0 else 0)
-            work = work[~banned[work]]
+        for _ in range(_POLISH_ROUNDS):
+            work = np.flatnonzero((self.beta > tiny) & (self.beta < lam - tiny) & ~banned)
             f = work.size
             if f == 0 or f > _POLISH_CAP:
                 return
+            _, sums, joined = self._segments()
+            segment_of_cut = np.cumsum(np.concatenate(([True], ~joined[:-1])))
             tau_w = self.tau[work]
+            cut_w = self.cut[work]
             grad = 1.0 + tau_w * self.s[work]  # dD/dbeta over the working set
-            step, unbounded = _face_step(self.z[work], tau_w, self.block_id[work], grad)
+            step, unbounded = _face_step(self.z[work], tau_w, segment_of_cut[cut_w], grad)
             if step is None:
                 return
             size = float(np.abs(step).max(initial=0.0))
@@ -468,6 +492,10 @@ class _DualSolver:
                 banned[work[blocked]] = True  # pinned against the box; retry without them
                 continue
             alpha_max = float(np.min(room, initial=np.inf))
+            rate = self._running_sums(np.bincount(cut_w, tau_w * step, self.prob.n_cuts))
+            falling = joined & (rate < 0.0)
+            if falling.any():
+                alpha_max = min(alpha_max, float((sums[falling] / -rate[falling]).min()))
             if unbounded:
                 if not np.isfinite(alpha_max):
                     return  # genuinely unbounded; cannot happen with a bounded box
@@ -488,8 +516,8 @@ class _DualSolver:
 
     # ------------------------------------------------------- cut-value recovery
 
-    def _block_interval(self, sl):
-        """Flat optimal interval of one block's cut value given the current v."""
+    def _segment_interval(self, sl):
+        """Flat optimal interval of one segment's cut value given the current v."""
         if sl.stop == sl.start:
             return None
         t = self.tau[sl]
@@ -503,10 +531,8 @@ class _DualSolver:
         return (bps[n_up - 1], bps[n_up])
 
     @staticmethod
-    def _pick(interval):
-        lo, hi = interval
-        if np.isinf(lo) and np.isinf(hi):
-            return 0.0
+    def _pick(lo, hi):
+        # a segment with terms has at least one finite end, and narrowing keeps it
         if np.isinf(lo):
             return float(hi)
         if np.isinf(hi):
@@ -514,30 +540,33 @@ class _DualSolver:
         return 0.5 * (lo + hi)
 
     def _recover_cuts(self):
-        values = np.full(self.prob.n_cuts, np.nan)
-        for blk, sl in zip(self.blocks, self.slices):
-            interval = self._block_interval(sl)
-            if interval is None:
-                continue
-            val = self._pick(interval)
-            for j in blk:
-                values[j] = val
-        # cuts with no terms at all: interpolate along their chain
-        for chain in self.prob.chains:
-            vals = values[list(chain)]
-            if np.isnan(vals).all():
-                vals[:] = 0.0
-            else:
-                known = np.flatnonzero(~np.isnan(vals))
-                missing = np.flatnonzero(np.isnan(vals))
-                if missing.size:
-                    vals[missing] = np.interp(missing, known, vals[known])
-            values[list(chain)] = vals
+        n_cuts = self.prob.n_cuts
+        segments, _, _ = self._segments()
+        lo, hi = np.full(n_cuts, -np.inf), np.full(n_cuts, np.inf)
+        valued = np.zeros(n_cuts, dtype=bool)
+        for first, end in segments:
+            interval = self._segment_interval(slice(self.bounds[first], self.bounds[end]))
+            if interval is not None:
+                lo[first:end], hi[first:end] = interval
+                valued[first:end] = True
+        # a cut can sit no lower than an earlier cut's interval allows, nor
+        # higher than a later one's: narrowed so, the picks come out sorted
+        for ch in self.chains:
+            lo[ch] = np.maximum.accumulate(lo[ch])
+            hi[ch] = np.minimum.accumulate(hi[ch][::-1])[::-1]
+        values = np.full(n_cuts, np.nan)
+        for first, end in segments:
+            if valued[first]:
+                values[first:end] = self._pick(lo[first], hi[first])
+        # cuts with no terms at all are interpolated along their chain; a
+        # half-open interval is picked at its finite end, which can pass a
+        # later pick, and the running max moves it up inside the later intervals
+        for ch in self.chains:
+            run, known = values[ch], valued[ch]
+            if known.any():
+                run[~known] = np.interp(np.flatnonzero(~known), np.flatnonzero(known), run[known])
+                values[ch] = np.maximum.accumulate(run)
         values[np.isnan(values)] = 0.0
-        # final hygiene clamp; the tie loop keeps real violations out of here
-        for chain in self.prob.chains:
-            run = values[list(chain)]
-            values[list(chain)] = np.maximum.accumulate(run)
         return values
 
     def _primal(self, cuts):
@@ -547,69 +576,6 @@ class _DualSolver:
     def _dual(self):
         return float(self.beta.sum()) - 0.5 * float(self.v @ self.v)
 
-    # --------------------------------------------------------- tie adjustments
-
-    def _adjust_ties(self, mtol, stol):
-        """One merge-or-split round; returns True when the structure changed."""
-        if not self.prob.chains:
-            return False
-        block_of = {}
-        for bi, blk in enumerate(self.blocks):
-            for j in blk:
-                block_of[j] = bi
-        values = {
-            bi: (None if (iv := self._block_interval(sl)) is None else self._pick(iv))
-            for bi, sl in enumerate(self.slices)
-        }
-        merged = False
-        new_blocks = {bi: list(blk) for bi, blk in enumerate(self.blocks)}
-        for chain in self.prob.chains:
-            seq = []
-            for j in chain:
-                bi = block_of[j]
-                if not seq or seq[-1] != bi:
-                    seq.append(bi)
-            # a block with no terms (None) leaves its cut free, so the order
-            # binds the valued blocks on either side of it: each valued block
-            # is compared with the previous valued block of its chain
-            prev, empty = None, []
-            for b in seq:
-                if values[b] is None:
-                    empty.append(b)
-                    continue
-                if prev is not None and values[prev] > values[b] + mtol:
-                    for e in empty + [b]:
-                        new_blocks[prev] += new_blocks.pop(e)
-                    merged = True
-                    prev = None  # merged blocks get re-solved before reuse
-                else:
-                    prev = b
-                empty = []
-        if merged:
-            self._sync_original()
-            self.blocks = [sorted(blk) for blk in new_blocks.values()]
-            self._layout()
-            return True
-        # split blocks whose internal order multipliers went negative
-        signed = self.tau * self.beta
-        r = np.zeros(self.prob.n_cuts)
-        np.add.at(r, self.cut, signed)
-        for bi, blk in enumerate(self.blocks):
-            if len(blk) < 2:
-                continue
-            partial = np.cumsum(r[blk[:-1]])
-            worst = int(np.argmin(partial))
-            if partial[worst] < -stol:
-                left, right = blk[: worst + 1], blk[worst + 1:]
-                # duals of a split block are no longer balance-feasible
-                self.beta[self.slices[bi]] = 0.0
-                self._sync_original()
-                self.blocks[bi] = left
-                self.blocks.append(right)
-                self._layout()
-                return True
-        return False
-
     # ---------------------------------------------------------------- driver
 
     def solve(self, tol):
@@ -618,15 +584,11 @@ class _DualSolver:
             cuts = self._recover_cuts()
             return HingeSolution(self.v, cuts, self._primal(cuts), 0.0, 0)
         eps = 1e-3
-        mtol = 1e-8
-        stol = 1e-7 * max(1.0, self.lam)
         budget = default_budget(self.prob.z.shape)
-        for _ in range(64 * max(1, self.prob.n_cuts)):
+        while True:
             self._smo(eps, budget)
             if self.steps < budget:
                 self._polish()
-            if self._adjust_ties(mtol, stol):
-                continue
             self._refresh()
             cuts = self._recover_cuts()
             primal = self._primal(cuts)
@@ -638,7 +600,6 @@ class _DualSolver:
             if eps <= 1e-12:
                 raise NonConvergence(self.steps, "eps-floor", gap=gap)
             eps *= 1e-2
-        raise NonConvergence(self.steps, "outer-cap")
 
 
 def solve_hinge_dual(prob, tol=1e-6):
@@ -646,11 +607,12 @@ def solve_hinge_dual(prob, tol=1e-6):
 
     Every solve starts from the interior-point warm start, or from the zero
     dual when that start's dual value is below zero's; each interior-point
-    iteration counts as one step of the budget and of ``steps``.  Raises
+    iteration counts as one step of the budget and of ``steps``.  The chains
+    enter only as limits on the steps of the dual finish: no step lets an
+    order multiplier, a running sum of cut balances, fall below 0.  Raises
     :class:`NonConvergence` when the duality gap cannot be closed: the step
-    budget of :func:`default_budget` ran out (``budget``), the SMO tolerance
-    reached its floor (``eps-floor``), or the tie loop kept changing the
-    block structure (``outer-cap``).
+    budget of :func:`default_budget` ran out (``budget``), or the SMO
+    tolerance reached its floor (``eps-floor``).
     """
     beta, iterations = _ipm_warm_start(prob, default_budget(prob.z.shape))
     solver = _DualSolver(prob, warm=beta)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from genage import SynthConfig, generate, smo, solve_svm, solve_svor
+from genage import SynthConfig, generate, smo, solve_svm, solve_svor, svor
 from genage.errors import NonConvergence
-from genage.smo import _face_step, _ipm_warm_start, _shrink_coefficient
+from genage.smo import _BOUND_SLACK, _face_step, _ipm_warm_start, _shrink_coefficient
 
 from _oracles import svm_oracle, svor_oracle
 
@@ -11,9 +13,11 @@ from _oracles import svm_oracle, svor_oracle
 # --------------------------------------------------- interior-point warm start
 
 def random_hinge_problem(seed):
-    """Seeded chain-free problems: 1-5 cuts, 6-79 terms, d from 1 to more
+    """Seeded problems: 1-5 cuts with terms, 6-79 terms, d from 1 to more
     than the terms, features scaled by 1e-4, 1 or 1e4, lambda from 1e-2 to
-    1e4; some with one one-sided cut, some with every cut one-sided."""
+    1e4; some with one one-sided cut, some with every cut one-sided.  Half
+    are chained: up to two cuts with no terms go before and after each cut
+    with terms, and the cuts are cut into runs, each one chain."""
     rng = np.random.default_rng(seed)
     n_cuts = int(rng.integers(1, 6))
     size = int(rng.integers(6, 80))
@@ -26,7 +30,46 @@ def random_hinge_problem(seed):
         tau[cut == 0] = 1.0
     elif shape == 2:
         tau = np.where(cut % 2 == 0, 1.0, -1.0)
-    return smo.HingeProblem(z, tau, cut, n_cuts, (), float(10.0 ** rng.uniform(-2.0, 4.0)))
+    lam = float(10.0 ** rng.uniform(-2.0, 4.0))
+    chains = ()
+    if rng.integers(2):
+        gaps = rng.integers(0, 3, n_cuts + 1)
+        new_id = np.cumsum(gaps[:-1] + 1) - 1
+        cut, n_cuts = new_id[cut], int(new_id[-1] + 1 + gaps[-1])
+        runs = np.split(np.arange(n_cuts), np.flatnonzero(rng.random(n_cuts - 1) < 0.3) + 1)
+        chains = tuple(tuple(int(j) for j in run) for run in runs)
+    return smo.HingeProblem(z, tau, cut, n_cuts, chains, lam)
+
+
+def solve_keeping_duals(prob, monkeypatch, tol=1e-6):
+    """solve_hinge_dual's solution and its duals in the problem's term order."""
+    finish, finished = smo._DualSolver.solve, []
+    monkeypatch.setattr(smo._DualSolver, "solve", lambda self, tol: finished.append(self) or finish(self, tol))
+    return smo.solve_hinge_dual(prob, tol=tol), finished[-1].duals()
+
+
+def assert_certified_chained_optimum(prob, sol, beta, tol=1e-6):
+    """Checks the certificate from the problem alone: the duals are feasible
+    (in the box, every order multiplier, the running sum of the cut balances
+    along a chain, >= 0, each chain and each unchained cut balanced), the
+    cuts are sorted along every chain, and the primal value at the returned
+    (v, cuts) exceeds the dual value of the duals by at most tol."""
+    lam, slack = prob.penalty, _BOUND_SLACK * prob.penalty
+    assert np.all(beta >= 0.0) and np.all(beta <= lam)
+    balances = np.bincount(prob.cut, prob.tau * beta, prob.n_cuts)
+    unchained = np.ones(prob.n_cuts, dtype=bool)
+    for chain in prob.chains:
+        sums = np.cumsum(balances[list(chain)])
+        assert sums.min() >= -slack
+        assert abs(sums[-1]) <= slack
+        assert np.all(np.diff(sol.cuts[list(chain)]) >= 0.0)
+        unchained[list(chain)] = False
+    assert np.abs(balances[unchained]).max(initial=0.0) <= slack
+    margins = 1.0 + prob.tau * (prob.z @ sol.v - sol.cuts[prob.cut])
+    primal = 0.5 * sol.v @ sol.v + lam * np.clip(margins, 0.0, None).sum()
+    assert abs(primal - sol.objective) <= 1e-9 * (1.0 + abs(primal))
+    v = prob.z.T @ (prob.tau * beta)
+    assert primal - (beta.sum() - 0.5 * v @ v) <= tol * (1.0 + abs(primal))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -38,27 +81,39 @@ def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
     one_sided = both == 0
     assert np.all(beta[one_sided[prob.cut]] == 0.0)
     solver = smo._DualSolver(prob, warm=beta)
-    solver._sync_original()
-    balance = np.bincount(prob.cut, prob.tau * solver._beta_orig, prob.n_cuts)
+    balance = np.bincount(prob.cut, prob.tau * solver.duals(), prob.n_cuts)
     assert np.abs(balance).max() <= 1e-12 * prob.penalty * prob.z.shape[0]
-    best = smo.solve_hinge_dual(prob, tol=1e-7).objective
+    # the warm start solves the dual without the chains
+    best = smo.solve_hinge_dual(dataclasses.replace(prob, chains=()), tol=1e-7).objective
     assert best - solver._dual() <= 1e-6 * (1.0 + abs(best))
     if one_sided.all():
         assert iterations == 0 and not beta.any()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solves_certify_their_gap_from_feasible_chained_duals(seed, monkeypatch):
+    prob = random_hinge_problem(seed)
+    sol, beta = solve_keeping_duals(prob, monkeypatch)
+    assert_certified_chained_optimum(prob, sol, beta)
+
+
+@pytest.mark.parametrize("chains", [((0, 2),), ((1, 0),), ((0, 1), (1, 2)), ((2, 3),), ((),), ((-1, 0),)])
+def test_malformed_chains_are_rejected(chains):
+    with pytest.raises(ValueError, match="not a run of consecutive ascending cut ids"):
+        smo.HingeProblem(np.ones((2, 1)), np.array([1.0, -1.0]), np.array([0, 2]), 3, chains, 1.0)
 
 
 def test_duals_within_the_bound_slack_are_put_on_their_bound():
     """The classifier at lambda = 1e4 from its certified optimum, with 5e-9 to
     5e-7 put on each zero dual (the slack is 1e-6) and the balance restored:
     the sweeps and the polish count those duals as on the bound, so unless
-    the layout puts them there nothing moves them and the gap stays open."""
+    the solver puts them there nothing moves them and the gap stays open."""
     ds = generate(SynthConfig(discrepancy=2.0, seed=19))
     prob = smo.HingeProblem(ds.features, -ds.gender.astype(float), np.zeros(ds.features.shape[0], dtype=int),
                             1, (), 1e4)
     solver = smo._DualSolver(prob)
     solver.solve(1e-9)
-    solver._sync_original()
-    optimum = solver._beta_orig
+    optimum = solver.duals()
     zero = optimum == 0.0
     assert zero.sum() == 392
     rng = np.random.default_rng(0)
@@ -69,6 +124,56 @@ def test_duals_within_the_bound_slack_are_put_on_their_bound():
         warm[heavy] -= (prob.tau @ warm) / prob.tau[heavy].sum()
         sol = smo._DualSolver(prob, warm=warm).solve(1e-6)
         assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
+
+
+# --------------------------------------------------- chains across empty cuts
+
+def random_hole_problem(rng):
+    """A split-ladder subproblem, n 60-299, d 1-9, K 4-11, features x 10^U(-2, 2),
+    lambda 10^U(-2, 3), in which the males of a middle run of at least two
+    ranks are moved to rank 1 or K: the male ladder gets a cut with no
+    terms, and the valued cuts on either side of it tend to cross."""
+    n, d, num_ranks = int(rng.integers(60, 300)), int(rng.integers(1, 10)), int(rng.integers(4, 12))
+    genders = rng.choice([-1, 1], n)
+    ranks = rng.integers(1, num_ranks + 1, n)
+    X = rng.normal(size=(n, d))
+    X[:, 0] += 0.5 * ranks
+    X *= 10.0 ** rng.uniform(-2.0, 2.0)
+    first = int(rng.integers(2, num_ranks - 1))
+    last = int(rng.integers(first + 1, num_ranks))
+    hole = (genders == 1) & (ranks >= first) & (ranks <= last)
+    ranks[hole] = rng.choice([1, num_ranks], int(hole.sum()))
+    rows, taus, cuts, n_cuts, chains = svor._build_terms(X, ranks, genders, num_ranks, True)
+    return smo.HingeProblem(X[rows], taus, cuts, n_cuts, chains, float(10.0 ** rng.uniform(-2.0, 3.0)))
+
+
+def test_split_ladders_with_empty_cuts_solve_to_certified_sorted_ladders(monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        prob = random_hole_problem(rng)
+        sol, beta = solve_keeping_duals(prob, monkeypatch)
+        assert_certified_chained_optimum(prob, sol, beta)
+
+
+def test_a_tie_opens_and_closes_again_within_one_solve(monkeypatch):
+    """Ties are read off the duals: a pair step that moves balance to an
+    earlier cut joins the cuts between, and one that moves it back parts
+    them where a running sum reaches 0.  This solve does both on one cut."""
+    prob = random_hole_problem(np.random.default_rng(14))
+    segments, joined = smo._DualSolver._segments, []
+
+    def recording(self):
+        out = segments(self)
+        joined.append(out[2].copy())
+        return out
+
+    monkeypatch.setattr(smo._DualSolver, "_segments", recording)
+    sol, beta = solve_keeping_duals(prob, monkeypatch)
+    assert_certified_chained_optimum(prob, sol, beta)
+    joined = np.array(joined)
+    assert not joined[0].any()  # the warm start balances every cut on its own
+    opened = joined.argmax(axis=0)
+    assert any(joined[:, k].any() and not joined[opened[k]:, k].all() for k in range(prob.n_cuts))
 
 
 # --------------------------------------------------- rank-one whitening
@@ -206,13 +311,8 @@ def _primal_never_meets_the_dual(monkeypatch):
     monkeypatch.setattr(smo._DualSolver, "_primal", lambda self, cuts: primal(self, cuts) + 1e3)
 
 
-def _ties_always_change(monkeypatch):
-    monkeypatch.setattr(smo._DualSolver, "_adjust_ties", lambda self, mtol, stol: True)
-
-
 @pytest.mark.parametrize("reason, patch", [("budget", _no_steps),
-                                           ("eps-floor", _primal_never_meets_the_dual),
-                                           ("outer-cap", _ties_always_change)])
+                                           ("eps-floor", _primal_never_meets_the_dual)])
 def test_non_convergence_names_its_exit(monkeypatch, reason, patch):
     ds = generate(SynthConfig(dim=4, samples_per_cell=4, noise_sigma=1.0, seed=0))
     patch(monkeypatch)

@@ -2,10 +2,11 @@
 
 Every subproblem solve of each fit must certify its duality gap, the joint
 objective trace must not increase, and the fit must finish within
-``WALL_BOUND_S``.  The bound is about five times the slowest case's time on a
-2-vCPU host (pure noise, ``tt``: about 2 s, most of it in the Newton polish);
-without the periodic polish inside the SMO loop the features scaled by 1e4
-take 25-50 s per fit.
+``WALL_BOUND_S``.  The bound is about six times the slowest case's time on a
+2-vCPU host with BLAS on one thread (split ladders across missing middle
+ages, ``tt``: about 1.6 s; pure noise, ``tt``: about 0.3 s); without the
+periodic polish inside the SMO loop the features scaled by 1e4 take 25-50 s
+per fit.
 """
 
 import time
