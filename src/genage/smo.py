@@ -19,7 +19,8 @@ chain sums to 0 and a cut outside every chain balances on its own.
 
 Every solve starts from the duals of a Mehrotra predictor-corrector
 interior-point solve of the box-constrained dual without the chains
-(:func:`_ipm_warm_start`), where every running sum is 0.  From there the
+(:func:`_ipm_warm_start`), where every running sum is 0.  That start is
+first polished (see below), which certifies most solves; from there the
 dual is ascended with pairwise SMO steps, one per tie segment and sweep: a
 segment is a maximal run of a chain's cuts joined by positive running
 sums.  A pair that moves balance to an earlier cut raises the running sums
@@ -108,6 +109,8 @@ class HingeSolution:
 
 _IPM_CAP = 60  # interior-point iterations per warm start
 _IPM_GAP = 1e-8  # relative complementarity gap at which the warm start hands over
+_IPM_START = 30.0  # curvature of a median term times the warm start's starting dual
+_IPM_STEP = 0.999  # share of the longest step to the boundary that each iteration takes
 _POLISH_ROUNDS = 60  # Newton face steps per polish
 _POLISH_CAP = 600  # largest working set the polish factorizes
 
@@ -133,23 +136,32 @@ def _ipm_warm_start(prob, budget):
     features, a Gram matrix >= I that no subtraction can spoil.  Its inverse
     serves both the predictor and the corrector solve.
 
-    The start is balanced, scaled to the best dual value along its ray, and
-    its bound multipliers take the whole gradient, so the stationarity
-    residual starts at 0 and only roundoff moves it.  The loop hands over at
-    a relative complementarity gap of ``_IPM_GAP``, or at the last iterate
-    before roundoff broke the Newton steps: the stationarity residual grew
-    past a million times the roundoff of A A^T b, whose terms sum to at most
-    n * max |a_t|^2.
+    The start is an infeasible, centred point scaled to the problem
+    (Mehrotra, SIAM J. Optim. 2(4), 1992; Wright, Primal-Dual Interior-Point
+    Methods, 1997, ch. 6 and 11): every dual at b0 = min(0.1, _IPM_START /
+    median_t lam |z_t|^2), y = 0 and unit bound multipliers, so that the
+    lower-bound products all equal b0 and the upper ones 1 - b0.  It is
+    neither balanced nor stationary; the Newton steps carry the balance
+    residual rp and the stationarity residual rd, and a step of length
+    alpha (``_IPM_STEP`` of the longest step that keeps the box) cuts both
+    by the factor 1 - alpha up to roundoff.  The loop hands over at a
+    relative complementarity gap of ``_IPM_GAP``, or at the last iterate
+    before roundoff broke the Newton steps: max |rd| grew past ten times
+    the sum of what the last step left of it and a million times the
+    roundoff of A A^T b, whose terms sum to at most n * max |a_t|^2.  The
+    gap test bounds neither residual: the finish restores the balances, and
+    its first polish certifies such hand-overs.
 
     Duals heading to a bound are put on it by a test with no scale.  When
-    the last step cut the complementarity gap by a factor rho <= 0.1, a dual
-    goes to a bound if its distance to it shrank by less than sqrt(rho)
-    times the factor of that bound's multiplier and is at most 1e-6 of the
-    box.  The distance of a dual converging to a bound shrinks like rho
-    while its multiplier holds, a free dual holds while its multiplier
-    shrinks, and a degenerate one shrinks like sqrt(rho) alongside its
-    multiplier and is left in place.  Returns the duals and the number of
-    iterations, each of which is one step of the solve's budget.
+    the last step cut the complementarity gap by a factor rho <= 0.25, a
+    dual goes to a bound if its distance to it shrank by less than
+    sqrt(rho) times the factor of that bound's multiplier and is at most
+    1e-4 of the box.  The distance of a dual converging to a bound shrinks
+    like rho while its multiplier holds, a free dual holds while its
+    multiplier shrinks, and a degenerate one shrinks like sqrt(rho)
+    alongside its multiplier and is left in place; at rho <= 0.25 the three
+    rates stay at least a factor of 2 apart.  Returns the duals and the
+    number of iterations, each of which is one step of the solve's budget.
     """
     z = np.asarray(prob.z, dtype=float)
     tau = np.asarray(prob.tau, dtype=float)
@@ -173,7 +185,8 @@ def _ipm_warm_start(prob, budget):
     zt = np.sqrt(lam) * zk.T  # (d, n)
     at = zt * t  # A^T
     eye = np.eye(d)
-    roundoff = 1e6 * np.finfo(float).eps * n * (1.0 + (at * at).sum(axis=0).max())
+    curvature = (at * at).sum(axis=0)  # lam |z_t|^2
+    roundoff = 1e6 * np.finfo(float).eps * n * (1.0 + curvature.max())
 
     def newton(h, rp):
         """db, dy with (A A^T + D) db - E dy = h and E^T db = -rp."""
@@ -189,25 +202,23 @@ def _ipm_warm_start(prob, budget):
         ds = sign * db
         return np.concatenate((ds, -q - ratio * ds)), dy
 
-    # each cut's minority side at 1 and its majority side scaled to balance
-    # it, then shrunk to the best dual value along that ray
-    fewer = np.minimum(plus, minus)[used][ck]
-    b = fewer / np.where(t > 0, plus[used][ck], minus[used][ck])
-    ab = at @ b
-    b *= min(0.5, max(0.01, b.sum() / max(ab @ ab, 2.0 * b.sum())))
-    grad = (at @ b) @ at - 1.0
-    y = np.add.reduceat(t * grad, starts) / (plus + minus)[used]
-    rest = grad - t * y[ck]
+    # one dual for every term, at which a median term's curvature times it
+    # is _IPM_START (0.1 at most, which also covers zero curvature), and unit
+    # bound multipliers
+    b = np.full(n, _IPM_START / max(float(np.median(curvature)), 10.0 * _IPM_START))
+    y = np.zeros(m)
     # rows b, 1 - b, z_l, z_u
-    x = np.stack((b, 1.0 - b, np.maximum(rest, 0.0) + 1.0, np.maximum(-rest, 0.0) + 1.0))
+    x = np.stack((b, 1.0 - b, np.ones(n), np.ones(n)))
     sign = np.array([[1.0], [-1.0]])
     prev = older = None
+    limit = np.inf
     iterations = 0
     while iterations < min(budget, _IPM_CAP):
         b = x[0]
         ab = at @ b
         rd = ab @ at - 1.0 - t * y[ck] - x[2] + x[3]
-        if prev is not None and not np.abs(rd).max() <= roundoff:
+        residual = np.abs(rd).max()
+        if prev is not None and not residual <= limit:
             x, prev = prev, older
             break
         rp = np.add.reduceat(t * b, starts)
@@ -225,16 +236,17 @@ def _ipm_warm_start(prob, budget):
         affine = x + _max_step(x, step) * step
         sigma = ((affine[:2] * affine[2:]).sum() / comp) ** 3
         step, dy = direction(products + step[:2] * step[2:] - sigma * comp / (2 * n))
-        alpha = 0.99 * _max_step(x, step)
+        alpha = _IPM_STEP * _max_step(x, step)
         older, prev = prev, x
         x = x + alpha * step
         y = y + alpha * dy
+        limit = 10.0 * (roundoff + (1.0 - alpha) * residual)
         iterations += 1
     b = x[0]
     rho = (x[:2] * x[2:]).sum() / (prev[:2] * prev[2:]).sum() if prev is not None else 1.0
-    if rho <= 0.1:
+    if rho <= 0.25:
         heading = x[:2] * prev[2:] < np.sqrt(rho) * prev[:2] * x[2:]
-        heading &= x[:2] <= 1e-6
+        heading &= x[:2] <= 1e-4
         b = np.where(heading[0], 0.0, np.where(heading[1], 1.0, b))
     beta[keep] = lam * b
     return beta, iterations
@@ -585,8 +597,9 @@ class _DualSolver:
             return HingeSolution(self.v, cuts, self._primal(cuts), 0.0, 0)
         eps = 1e-3
         budget = default_budget(self.prob.z.shape)
+        # the start is polished and tested first, then again after each SMO
+        # stage at eps 1e-3, 1e-5, ..., 1e-13
         while True:
-            self._smo(eps, budget)
             if self.steps < budget:
                 self._polish()
             self._refresh()
@@ -597,8 +610,9 @@ class _DualSolver:
                 return HingeSolution(self.v, cuts, primal, gap, self.steps)
             if self.steps >= budget:
                 raise NonConvergence(self.steps, "budget", gap=gap)
-            if eps <= 1e-12:
+            if eps < 1e-14:
                 raise NonConvergence(self.steps, "eps-floor", gap=gap)
+            self._smo(eps, budget)
             eps *= 1e-2
 
 
@@ -607,12 +621,13 @@ def solve_hinge_dual(prob, tol=1e-6):
 
     Every solve starts from the interior-point warm start, or from the zero
     dual when that start's dual value is below zero's; each interior-point
-    iteration counts as one step of the budget and of ``steps``.  The chains
-    enter only as limits on the steps of the dual finish: no step lets an
-    order multiplier, a running sum of cut balances, fall below 0.  Raises
-    :class:`NonConvergence` when the duality gap cannot be closed: the step
-    budget of :func:`default_budget` ran out (``budget``), or the SMO
-    tolerance reached its floor (``eps-floor``).
+    iteration counts as one step of the budget and of ``steps``.  The start
+    is polished and its gap tested before the first SMO stage, and again
+    after each stage.  The chains enter only as limits on the steps of the
+    dual finish: no step lets an order multiplier, a running sum of cut
+    balances, fall below 0.  Raises :class:`NonConvergence` when the duality
+    gap cannot be closed: the step budget of :func:`default_budget` ran out
+    (``budget``), or the SMO tolerance reached its floor (``eps-floor``).
     """
     beta, iterations = _ipm_warm_start(prob, default_budget(prob.z.shape))
     solver = _DualSolver(prob, warm=beta)

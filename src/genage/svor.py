@@ -60,30 +60,24 @@ def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, 
     return quad + lambda2 * slacks
 
 
-def _build_terms(X, ranks, genders, num_ranks, split):
+def _build_terms(ranks, genders, num_ranks, split):
     """Hinge terms and cut bookkeeping for the reduced problem."""
     n_cuts_per = num_ranks - 1
-    rows, taus, cuts = [], [], []
-    for i in range(X.shape[0]):
-        k = int(ranks[i])
-        base = 0
-        if split and genders[i] == FEMALE:
-            base = n_cuts_per
-        if k <= n_cuts_per:                      # stay below cut k
-            rows.append(i)
-            taus.append(1.0)
-            cuts.append(base + k - 1)
-        if k >= 2:                               # stay above cut k-1
-            rows.append(i)
-            taus.append(-1.0)
-            cuts.append(base + k - 2)
+    k = np.asarray(ranks, dtype=int)[:, None]
+    base = np.where(np.asarray(genders) == FEMALE, n_cuts_per, 0)[:, None] if split else 0
+    # per sample, the term below cut k then the term above cut k-1; a
+    # row-major mask keeps that order
+    present = np.hstack((k <= n_cuts_per, k >= 2))
+    rows = np.broadcast_to(np.arange(k.shape[0])[:, None], present.shape)[present]
+    taus = np.broadcast_to(np.array([1.0, -1.0]), present.shape)[present]
+    cuts = (base + k - np.array([1, 2]))[present]
     if split:
         chains = (tuple(range(n_cuts_per)), tuple(range(n_cuts_per, 2 * n_cuts_per)))
         n_cuts = 2 * n_cuts_per
     else:
         chains = (tuple(range(n_cuts_per)),)
         n_cuts = n_cuts_per
-    return np.asarray(rows, dtype=int), np.asarray(taus), np.asarray(cuts, dtype=int), n_cuts, chains
+    return rows, taus, cuts, n_cuts, chains
 
 
 def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True, tol=1e-6):
@@ -119,7 +113,7 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
             )
     shrink = rank1_shrink(anchor, lambda3)
     Z = shrink(X)
-    rows, taus, cut_ids, n_cuts, chains = _build_terms(X, ranks, genders, K, split_thresholds)
+    rows, taus, cut_ids, n_cuts, chains = _build_terms(ranks, genders, K, split_thresholds)
     prob = HingeProblem(
         z=Z[rows],
         tau=taus,

@@ -1,9 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from genage import SynthConfig, generate, smo, solve_svm, solve_svor, svor
+from genage import HyperParams, SynthConfig, TrainConfig, fit, generate, smo, solve_svm, solve_svor, svor
 from genage.errors import NonConvergence
 from genage.smo import _BOUND_SLACK, _face_step, _ipm_warm_start, _shrink_coefficient
 
@@ -90,6 +91,67 @@ def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
         assert iterations == 0 and not beta.any()
 
 
+def record_warm_starts(monkeypatch):
+    """Patches the warm start to append (problem, duals, iterations) per call."""
+    handed, warm_start = [], smo._ipm_warm_start
+
+    def recording(prob, budget):
+        beta, iterations = warm_start(prob, budget)
+        handed.append((prob, beta, iterations))
+        return beta, iterations
+
+    monkeypatch.setattr(smo, "_ipm_warm_start", recording)
+    return handed
+
+
+@pytest.mark.parametrize("variant", ["tt", "st"])
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_start_iterations_on_the_default_protocol(seed, variant, monkeypatch):
+    """Every subproblem of a default fit on the K=5 protocol data: the
+    classifier, the shared ladder and, under tt, the split ladders.  From
+    the centred start each warm start takes at most 16 iterations; the
+    balanced-ray start took 27-31 on the shared ladders."""
+    handed = record_warm_starts(monkeypatch)
+    fit(generate(SynthConfig(discrepancy=2.0, seed=seed)), TrainConfig(hyper=HyperParams(variant=variant)))
+    assert {prob.n_cuts for prob, _, _ in handed} == ({1, 4, 8} if variant == "tt" else {1, 4})
+    assert max(iterations for _, _, iterations in handed) <= 16
+
+
+@pytest.mark.parametrize("variant", ["tt", "st"])
+def test_dual_finish_after_the_warm_start_on_extreme_lambdas(variant, monkeypatch):
+    """lambda1 = lambda2 = 1e4, lambda3 = 1e7: the warm start's Newton steps
+    break on roundoff before its gap closes.  The finish from the iterate it
+    hands over stays within 1.1 times the 272 steps it took per shared
+    ladder from the balanced-ray start."""
+    handed = record_warm_starts(monkeypatch)
+    finish, finished = smo._DualSolver.solve, []
+    monkeypatch.setattr(smo._DualSolver, "solve",
+                        lambda self, tol: finished.append(self) or finish(self, tol))
+    hyper = HyperParams(lambda1=1e4, lambda2=1e4, lambda3=1e7, variant=variant)
+    fit(generate(SynthConfig(discrepancy=2.0, seed=19)), TrainConfig(hyper=hyper))
+    assert len(finished) == len(handed) == 5
+    for solver, (_, _, iterations) in zip(finished, handed):
+        assert solver.steps - iterations <= 1.1 * 272
+
+
+@pytest.mark.parametrize("features", ["zero", "constant", "tiny"])
+def test_warm_start_from_degenerate_features_raises_no_warning(features):
+    """All-zero features give a median curvature of 0, one constant column
+    centred features of 0, and features scaled by 1e-6 a median curvature
+    below 1e-10: the start and the solve stay free of every warning, and the
+    gap is certified."""
+    rng = np.random.default_rng(3)
+    z = {"zero": np.zeros((60, 4)), "constant": np.full((60, 1), 2.5),
+         "tiny": 1e-6 * rng.normal(size=(60, 4))}[features]
+    prob = smo.HingeProblem(z, rng.choice([-1.0, 1.0], 60), rng.integers(0, 3, 60), 3, ((0, 1, 2),), 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, iterations = _ipm_warm_start(prob, smo.default_budget(prob.z.shape))
+        sol = smo.solve_hinge_dual(prob)
+    assert iterations > 0 and np.all(np.isfinite(beta))
+    assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_solves_certify_their_gap_from_feasible_chained_duals(seed, monkeypatch):
     prob = random_hinge_problem(seed)
@@ -143,7 +205,7 @@ def random_hole_problem(rng):
     last = int(rng.integers(first + 1, num_ranks))
     hole = (genders == 1) & (ranks >= first) & (ranks <= last)
     ranks[hole] = rng.choice([1, num_ranks], int(hole.sum()))
-    rows, taus, cuts, n_cuts, chains = svor._build_terms(X, ranks, genders, num_ranks, True)
+    rows, taus, cuts, n_cuts, chains = svor._build_terms(ranks, genders, num_ranks, True)
     return smo.HingeProblem(X[rows], taus, cuts, n_cuts, chains, float(10.0 ** rng.uniform(-2.0, 3.0)))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genage import Dataset, predict_rank, predict_ranks, solve_svor, ThresholdLadder
+from genage import Dataset, predict_rank, predict_ranks, solve_svor, svor, ThresholdLadder
 from genage.errors import DimensionMismatch, InsufficientRanks
 
 from _oracles import random_svor_holes_instance, random_svor_instance, svor_oracle
@@ -155,3 +155,36 @@ def test_sparse_middle_rank_is_handled():
     sol = solve_svor(ds, 10.0, split_thresholds=True)
     assert np.all(np.diff(sol.ladder_female.cuts) >= -1e-9)
     assert np.isfinite(sol.ladder_female.cuts).all()
+
+
+def reference_terms(ranks, genders, num_ranks, split):
+    """The term builder as a loop over the samples: per sample the term
+    below cut k, then the term above cut k-1."""
+    n_cuts_per = num_ranks - 1
+    rows, taus, cuts = [], [], []
+    for i, (k, g) in enumerate(zip(ranks, genders)):
+        base = n_cuts_per if split and g == -1 else 0
+        if k <= n_cuts_per:
+            rows.append(i), taus.append(1.0), cuts.append(base + k - 1)
+        if k >= 2:
+            rows.append(i), taus.append(-1.0), cuts.append(base + k - 2)
+    return np.array(rows, dtype=int), np.array(taus), np.array(cuts, dtype=int)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_terms_match_the_per_sample_loop_in_order(seed, split):
+    """The solver's stable sorts see the terms in this order, so the order
+    is compared too: K = 2, ranks missing for one gender, and larger K."""
+    rng = np.random.default_rng(seed)
+    num_ranks = [2, 5, 9][seed % 3]
+    n = int(rng.integers(1, 60))
+    genders = rng.choice([-1, 1], n)
+    ranks = rng.integers(1, num_ranks + 1, n)
+    if seed % 2:
+        ranks[(genders == 1) & (ranks == (num_ranks + 1) // 2)] = 1  # a middle rank missing for males
+    rows, taus, cuts, n_cuts, chains = svor._build_terms(ranks, genders, num_ranks, split)
+    want = reference_terms(ranks, genders, num_ranks, split)
+    for got, ref in zip((rows, taus, cuts), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert n_cuts == (2 if split else 1) * (num_ranks - 1) and len(chains) == (2 if split else 1)
