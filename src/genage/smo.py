@@ -8,8 +8,8 @@ After the rank-one metric substitution both subproblems take the form
 where each hinge term t carries a feature row ``z_t``, an orientation
 ``tau_t`` (+1 pushes the score below its cut by the unit margin, -1 pushes
 it above) and the index of the cut it references.  A chain is a run of
-consecutive cut ids.  The gender classifier is the special case of a single
-cut (the negated bias) and no chain.
+consecutive cut ids.  The gender classifier is the two-rank case: one cut
+(the negated bias) on a one-cut chain.
 
 In the dual with explicit order constraints (Chu & Keerthi, "New approaches
 to support vector ordinal regression", ICML 2005) the multiplier of
@@ -112,7 +112,6 @@ _IPM_GAP = 1e-8  # relative complementarity gap at which the warm start hands ov
 _IPM_START = 30.0  # curvature of a median term times the warm start's starting dual
 _IPM_STEP = 0.999  # share of the longest step to the boundary that each iteration takes
 _POLISH_ROUNDS = 60  # Newton face steps per polish
-_POLISH_CAP = 600  # largest working set the polish factorizes
 
 
 def _ipm_warm_start(prob, budget):
@@ -332,7 +331,7 @@ class _DualSolver:
         Each cut's excess comes off the free duals on its heavy side, or
         else goes onto the free duals on its light side, when they can take
         it, so duals on a bound stay there; failing both it comes off the
-        whole heavy side.
+        whole heavy side, whose duals, all >= 0, sum to at least the excess.
         """
         for a, b in zip(self.bounds[:-1], self.bounds[1:]):
             t = self.tau[a:b]
@@ -346,11 +345,9 @@ class _DualSolver:
             toward = np.where(heavy, 1.0, -1.0)
             for share in (beta * (free & heavy), (self.lam - beta) * (free & ~heavy), beta * heavy):
                 total = share.sum()
-                if total >= abs(resid) and total > 0:
+                if total >= abs(resid):
                     beta -= toward * share * (abs(resid) / total)
                     break
-            else:
-                beta[:] = 0.0
 
     def _refresh(self):
         self.v = -(self.z.T @ (self.tau * self.beta))
@@ -473,17 +470,15 @@ class _DualSolver:
         reduced Hessian has rank at most the feature dimension, so the face
         can be unbounded: the consistent part of the Newton system is solved
         by least squares and any leftover linear ascent ray is ridden to the
-        box.  Variables blocking a step are ejected from the working set
-        instead of killing the step, and a step is cut short where a
-        positive running sum would turn negative.
+        box.  A step is cut short where a dual meets its bound, which drops
+        it from the next round's working set, or where a positive running
+        sum would turn negative.
         """
         lam = self.lam
         tiny = _BOUND_SLACK * max(1.0, lam)
-        banned = np.zeros(self.T, dtype=bool)
         for _ in range(_POLISH_ROUNDS):
-            work = np.flatnonzero((self.beta > tiny) & (self.beta < lam - tiny) & ~banned)
-            f = work.size
-            if f == 0 or f > _POLISH_CAP:
+            work = np.flatnonzero((self.beta > tiny) & (self.beta < lam - tiny))
+            if work.size == 0:
                 return
             _, sums, joined = self._segments()
             segment_of_cut = np.cumsum(np.concatenate(([True], ~joined[:-1])))
@@ -499,21 +494,13 @@ class _DualSolver:
             with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(step > 1e-300, (lam - self.beta[work]) / step,
                                 np.where(step < -1e-300, -self.beta[work] / step, np.inf))
-            blocked = room <= 1e-12
-            if blocked.any():
-                banned[work[blocked]] = True  # pinned against the box; retry without them
-                continue
             alpha_max = float(np.min(room, initial=np.inf))
             rate = self._running_sums(np.bincount(cut_w, tau_w * step, self.prob.n_cuts))
             falling = joined & (rate < 0.0)
             if falling.any():
                 alpha_max = min(alpha_max, float((sums[falling] / -rate[falling]).min()))
-            if unbounded:
-                if not np.isfinite(alpha_max):
-                    return  # genuinely unbounded; cannot happen with a bounded box
-                alpha = alpha_max
-            else:
-                alpha = min(1.0, alpha_max)
+            # a ray that passed _face_step's norm test meets the box at a finite step
+            alpha = alpha_max if unbounded else min(1.0, alpha_max)
             before = self._dual()
             saved = self.beta[work].copy()
             self.beta[work] = np.clip(self.beta[work] + alpha * step, 0.0, lam)
@@ -591,10 +578,6 @@ class _DualSolver:
     # ---------------------------------------------------------------- driver
 
     def solve(self, tol):
-        if self.lam <= 0.0 or self.T == 0:
-            # no hinge weight or no terms: the duals are clipped to zero
-            cuts = self._recover_cuts()
-            return HingeSolution(self.v, cuts, self._primal(cuts), 0.0, 0)
         eps = 1e-3
         budget = default_budget(self.prob.z.shape)
         # the start is polished and tested first, then again after each SMO

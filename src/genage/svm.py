@@ -5,9 +5,9 @@ Solves
     min_{w, b}  0.5 * w^T (I + 2*lam3 * a a^T) w
                 + lam1 * sum_i max(0, 1 - y_i (w^T x_i + b))
 
-by whitening the features with the closed-form inverse square root of the
-metric and running the shared dual core on the resulting standard problem.
-The bias is unregularized and does not enter the coupling term.
+as the ordinal subproblem with two ranks, male above female, whose one cut
+is -b, on the shared dual core (see :mod:`genage.svor`).  The bias is
+unregularized and does not enter the coupling term.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
-from .errors import DimensionMismatch, SingleClassInput
-from .smo import HingeProblem, rank1_shrink, solve_hinge_dual
+from .core import MALE, Dataset
+from .errors import SingleClassInput
+from .smo import solve_hinge_dual
+from .svor import _pose_problem
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,12 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):
     """
     X = ds.features
     y = ds.gender.astype(float)
-    if lambda1 < 0 or lambda3 < 0:
-        raise ValueError("lambda1 and lambda3 must be nonnegative")
     if np.all(y > 0) or np.all(y < 0):
         raise SingleClassInput("both gender classes are required")
     if np.all(X == X[0]):
         raise SingleClassInput("all samples are identical; the classes cannot be separated")
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
-        if anchor.shape != (X.shape[1],):
-            raise DimensionMismatch(
-                f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
-            )
-    shrink = rank1_shrink(anchor, lambda3)
-    # hinge form: 1 - y(v.z + b) = 1 + tau*(v.z - c) with tau = -y, c = -b
-    prob = HingeProblem(
-        z=shrink(X),
-        tau=-y,
-        cut=np.zeros(X.shape[0], dtype=int),
-        n_cuts=1,
-        chains=(),
-        penalty=float(lambda1),
-    )
+    ranks = np.where(ds.gender == MALE, 2, 1)
+    prob, shrink = _pose_problem(X, ranks, ds.gender, 2, False, lambda1, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
     w = shrink(sol.v)
     b = -float(sol.cuts[0])

@@ -80,23 +80,13 @@ def _build_terms(ranks, genders, num_ranks, split):
     return rows, taus, cuts, n_cuts, chains
 
 
-def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True, tol=1e-6):
-    """Fit the shared direction and the threshold ladder(s) on ``ds``.
-
-    With ``split_thresholds`` each gender gets its own ladder; otherwise one
-    ladder is fit on everyone and duplicated into both fields of the result.
-    Raises InsufficientRanks when a fitted population does not span at least
-    two distinct ranks, NonConvergence when the step budget runs out.
-    """
-    X = ds.features
-    ranks = ds.age_rank
-    genders = ds.gender
-    K = ds.num_ranks
-    if lambda2 < 0 or lambda3 < 0:
-        raise ValueError("lambda2 and lambda3 must be nonnegative")
-    if K < 2:
-        raise InsufficientRanks("at least two ranks are required")
-    if split_thresholds:
+def _pose_problem(X, ranks, genders, num_ranks, split, penalty, anchor, lambda3):
+    """Check a subproblem of either kind and pose it as a whitened
+    :class:`HingeProblem`; returns it and the whitening map, which also maps
+    the solved direction back."""
+    if penalty < 0 or lambda3 < 0:
+        raise ValueError("the hinge weight and lambda3 must be nonnegative")
+    if split:
         for g, name in ((MALE, "male"), (FEMALE, "female")):
             distinct = np.unique(ranks[genders == g])
             if distinct.size < 2:
@@ -112,16 +102,31 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
                 f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
             )
     shrink = rank1_shrink(anchor, lambda3)
-    Z = shrink(X)
-    rows, taus, cut_ids, n_cuts, chains = _build_terms(ranks, genders, K, split_thresholds)
+    rows, taus, cut_ids, n_cuts, chains = _build_terms(ranks, genders, num_ranks, split)
     prob = HingeProblem(
-        z=Z[rows],
+        z=shrink(X)[rows],
         tau=taus,
         cut=cut_ids,
         n_cuts=n_cuts,
         chains=chains,
-        penalty=float(lambda2),
+        penalty=float(penalty),
     )
+    return prob, shrink
+
+
+def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True, tol=1e-6):
+    """Fit the shared direction and the threshold ladder(s) on ``ds``.
+
+    With ``split_thresholds`` each gender gets its own ladder; otherwise one
+    ladder is fit on everyone and duplicated into both fields of the result.
+    Raises InsufficientRanks when a fitted population does not span at least
+    two distinct ranks, NonConvergence when the step budget runs out.
+    """
+    X = ds.features
+    ranks = ds.age_rank
+    genders = ds.gender
+    K = ds.num_ranks
+    prob, shrink = _pose_problem(X, ranks, genders, K, split_thresholds, lambda2, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
     w = shrink(sol.v)
     if split_thresholds:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, ThresholdLadder, TrainConfig, Variant
-from .errors import DegenerateGender, DimensionMismatch
+from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch
 from .svm import solve_svm
 from .svor import ordinal_slacks, predict_ranks, solve_svor
 
@@ -185,13 +185,22 @@ def predict_batch(model: GenAgeModel, X, gender_override=None):
     """Vectorized prediction; returns (genders, ranks) arrays.
 
     ``gender_override`` routes each sample to the ladder of the given labels
-    instead of the predicted ones (the oracle-routing diagnostic).
+    instead of the predicted ones (the oracle-routing diagnostic); it must
+    hold one +1 or -1 per row of ``X``.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionMismatch(f"X has shape {X.shape}, expected (n, {model.dim})")
     genders = np.where(X @ model.w_g + model.b_g >= 0.0, MALE, FEMALE)
-    routing = genders if gender_override is None else np.asarray(gender_override, dtype=int)
+    routing = genders
+    if gender_override is not None:
+        routing = np.asarray(gender_override)
+        if routing.shape != genders.shape:
+            raise DimensionMismatch(f"gender_override has shape {routing.shape}, expected ({X.shape[0]},)")
+        known = np.isin(routing, (MALE, FEMALE))
+        if not known.all():
+            i = int(np.argmin(known))
+            raise BadGenderLabel(i, routing[i].item())
     scores = X @ model.w_a
     ranks = np.empty(X.shape[0], dtype=int)
     male = routing == MALE

@@ -190,6 +190,34 @@ def test_evaluate_is_byte_deterministic(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_evaluate_csv_has_one_mean_std_row_per_method_and_metric(tmp_path):
+    args = [
+        "evaluate", "--config", synth_json(tmp_path), "--variants", "2step,tt,pls",
+        "--runs", "2", "--train-per-rank", "8", "--seed", "3",
+    ]
+    report = tmp_path / "report.json"
+    csv_a = tmp_path / "a.csv"
+    csv_b = tmp_path / "b.csv"
+    assert main(args + ["--out", str(report)]) == 0
+    assert main(args + ["--format", "csv", "--out", str(csv_a)]) == 0
+    assert main(args + ["--format", "csv", "--out", str(csv_b)]) == 0
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    header, *rows = csv_a.read_text().splitlines()
+    assert header == "method,metric,mean,std"
+    payload = json.loads(report.read_text())["methods"]
+    expected = [
+        (method, metric, value["mean"], value["std"])
+        for method in ("2step", "tt", "pls")
+        for metric, value in sorted(payload[method].items())
+        if isinstance(value, dict) and "mean" in value
+    ]
+    parsed = [(m, metric, float(mean), float(std))
+              for m, metric, mean, std in (row.split(",") for row in rows)]
+    assert parsed == expected
+    assert ("tt", "mae_mixed") in {(m, metric) for m, metric, *_ in parsed}
+
+
 def test_fit_with_cv_flag_searches_the_coupling_weight(tmp_path):
     data = tmp_path / "data.csv"
     assert main(["generate", "--config", synth_json(tmp_path, samples_per_cell=10,

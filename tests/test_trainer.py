@@ -19,7 +19,7 @@ from genage import (
     predict_batch,
     solve_svm,
 )
-from genage.errors import DegenerateGender, DimensionMismatch
+from genage.errors import BadGenderLabel, DegenerateGender, DimensionMismatch
 
 
 def hyper(lam3=1000.0, variant=Variant.TT, **kw):
@@ -159,6 +159,19 @@ def test_direct_rank_is_routing_invariant():
 def test_predict_dimension_check():
     with pytest.raises(DimensionMismatch):
         predict(hand_model(), np.ones(3))
+
+
+def test_predict_batch_rejects_an_override_of_the_wrong_length():
+    X = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        predict_batch(hand_model(), X, gender_override=[1, -1, 1])
+
+
+def test_predict_batch_rejects_override_labels_other_than_plus_or_minus_one():
+    X = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(BadGenderLabel) as excinfo:
+        predict_batch(hand_model(), X, gender_override=[1, 7, -1])
+    assert (excinfo.value.index, excinfo.value.value) == (1, 7)
 
 
 # ----------------------------------------------------------- objective_value
