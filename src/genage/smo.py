@@ -76,6 +76,11 @@ def _shrink_coefficient(aa, lam3):
     return -2.0 * lam3 / (root * (1.0 + root))
 
 
+def hinge_sum(scores, tau, cuts):
+    """sum_t max(0, 1 + tau_t * (score_t - cut_t)) over terms given one per entry."""
+    return float(np.clip(1.0 + tau * (scores - cuts), 0.0, None).sum())
+
+
 @dataclass
 class HingeProblem:
     """One instance of the reduced subproblem (features already whitened)."""
@@ -102,7 +107,7 @@ class HingeProblem:
 class HingeSolution:
     v: np.ndarray
     cuts: np.ndarray
-    objective: float       # primal value in the whitened coordinates
+    objective: float       # the primal value whose duality gap the solve certified
     gap: float
     steps: int
 
@@ -114,7 +119,7 @@ _IPM_STEP = 0.999  # share of the longest step to the boundary that each iterati
 _POLISH_ROUNDS = 60  # Newton face steps per polish
 
 
-def _ipm_warm_start(prob, budget):
+def _ipm_warm_start(prob):
     """Near-optimal duals from a Mehrotra predictor-corrector interior-point solve.
 
     In box units b = beta / lam the dual without the chains is the QP
@@ -170,7 +175,7 @@ def _ipm_warm_start(prob, budget):
     plus = np.bincount(cut, tau > 0, prob.n_cuts)
     minus = np.bincount(cut, tau < 0, prob.n_cuts)
     keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
-    if lam <= 0.0 or keep.size == 0 or budget <= 0:
+    if lam <= 0.0 or keep.size == 0:
         return beta, 0
     keep = keep[np.argsort(cut[keep], kind="stable")]
     used, ck = np.unique(cut[keep], return_inverse=True)
@@ -212,7 +217,7 @@ def _ipm_warm_start(prob, budget):
     prev = older = None
     limit = np.inf
     iterations = 0
-    while iterations < min(budget, _IPM_CAP):
+    while iterations < _IPM_CAP:
         b = x[0]
         ab = at @ b
         rd = ab @ at - 1.0 - t * y[ck] - x[2] + x[3]
@@ -569,8 +574,7 @@ class _DualSolver:
         return values
 
     def _primal(self, cuts):
-        margins = 1.0 + self.tau * (self.s - cuts[self.cut])
-        return 0.5 * float(self.v @ self.v) + self.lam * float(np.clip(margins, 0.0, None).sum())
+        return 0.5 * float(self.v @ self.v) + self.lam * hinge_sum(self.s, self.tau, cuts[self.cut])
 
     def _dual(self):
         return float(self.beta.sum()) - 0.5 * float(self.v @ self.v)
@@ -612,7 +616,7 @@ def solve_hinge_dual(prob, tol=1e-6):
     gap cannot be closed: the step budget of :func:`default_budget` ran out
     (``budget``), or the SMO tolerance reached its floor (``eps-floor``).
     """
-    beta, iterations = _ipm_warm_start(prob, default_budget(prob.z.shape))
+    beta, iterations = _ipm_warm_start(prob)
     solver = _DualSolver(prob, warm=beta)
     if solver._dual() < 0.0:
         solver = _DualSolver(prob)

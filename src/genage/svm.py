@@ -16,27 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MALE, Dataset
+from .core import FEMALE, MALE, Dataset, ThresholdLadder
 from .errors import SingleClassInput
 from .smo import solve_hinge_dual
-from .svor import _pose_problem
+from .svor import _pose_problem, svor_objective
 
 
 @dataclass(frozen=True)
 class SvmSolution:
     w: np.ndarray
     b: float
-    objective: float
+    objective: float  # the primal value whose duality gap the solve certified
     iterations: int
 
 
 def svm_objective(X, y, lambda1, anchor, lambda3, w, b):
-    """The subproblem objective evaluated at (w, b) in original coordinates."""
-    margins = 1.0 - y * (X @ w + b)
-    quad = 0.5 * float(w @ w)
-    if anchor is not None and lambda3 > 0.0:
-        quad += lambda3 * float(w @ anchor) ** 2
-    return quad + lambda1 * float(np.clip(margins, 0.0, None).sum())
+    """The subproblem objective evaluated at (w, b) in original coordinates:
+    :func:`genage.svor.svor_objective` of the two-rank problem, male above
+    female, with one cut at -b."""
+    ladder = ThresholdLadder(-float(b))
+    return svor_objective(X, np.where(np.asarray(y) > 0, 2, 1), y, lambda1, anchor, lambda3, w,
+                          ladder, ladder)
 
 
 def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):
@@ -57,25 +57,18 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):
 
     Returns
     -------
-    SvmSolution with the minimizer, its objective value and the number of
-    dual steps spent.  Raises SingleClassInput when one class is missing or
-    the features carry no class contrast at all, NonConvergence when the
-    step budget runs out.
+    SvmSolution with the minimizer, the objective value whose duality gap
+    the solve certified and the number of dual steps spent.  Raises
+    SingleClassInput when one class is missing or the features carry no
+    class contrast at all, NonConvergence when the step budget runs out.
     """
     X = ds.features
-    y = ds.gender.astype(float)
-    if np.all(y > 0) or np.all(y < 0):
+    if np.all(ds.gender == MALE) or np.all(ds.gender == FEMALE):
         raise SingleClassInput("both gender classes are required")
     if np.all(X == X[0]):
         raise SingleClassInput("all samples are identical; the classes cannot be separated")
     ranks = np.where(ds.gender == MALE, 2, 1)
     prob, shrink = _pose_problem(X, ranks, ds.gender, 2, False, lambda1, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
-    w = shrink(sol.v)
-    b = -float(sol.cuts[0])
-    return SvmSolution(
-        w=w,
-        b=b,
-        objective=svm_objective(X, y, lambda1, anchor, lambda3, w, b),
-        iterations=sol.steps,
-    )
+    return SvmSolution(w=shrink(sol.v), b=-float(sol.cuts[0]), objective=sol.objective,
+                       iterations=sol.steps)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset, ThresholdLadder
 from .errors import DimensionMismatch, InsufficientRanks
-from .smo import HingeProblem, rank1_shrink, solve_hinge_dual
+from .smo import HingeProblem, hinge_sum, rank1_shrink, solve_hinge_dual
 
 
 @dataclass(frozen=True)
@@ -25,34 +25,28 @@ class SvorSolution:
     w: np.ndarray
     ladder_male: ThresholdLadder
     ladder_female: ThresholdLadder
-    objective: float
+    objective: float  # the primal value whose duality gap the solve certified
     iterations: int
 
 
 def ordinal_slacks(scores, ranks, genders, ladder_male, ladder_female):
     """Sum of per-sample margin violations against the gender-matched ladders.
 
-    This is the slack total of the ordinal subproblem evaluated at an
-    arbitrary state, used both for reported objectives and for the joint
-    training trace.
+    The slack total of the ordinal subproblem at an arbitrary state: the
+    hinge terms of :func:`_build_terms` for split ladders, summed by
+    :func:`genage.smo.hinge_sum`.  Both ladders must have the same length.
     """
-    scores = np.asarray(scores, dtype=float)
-    ranks = np.asarray(ranks, dtype=int)
-    total = 0.0
-    for gender, ladder in ((MALE, ladder_male), (FEMALE, ladder_female)):
-        cuts = ladder.cuts
-        mask = np.asarray(genders) == gender
-        s = scores[mask]
-        k = ranks[mask]
-        upper = k <= cuts.shape[0]
-        total += float(np.clip(1.0 + s[upper] - cuts[k[upper] - 1], 0.0, None).sum())
-        lower = k >= 2
-        total += float(np.clip(1.0 - s[lower] + cuts[k[lower] - 2], 0.0, None).sum())
-    return total
+    rows, taus, cut_ids, _, _ = _build_terms(ranks, genders, ladder_male.cuts.size + 1, True)
+    cuts = np.concatenate((ladder_male.cuts, ladder_female.cuts))
+    return hinge_sum(np.asarray(scores, dtype=float)[rows], taus, cuts[cut_ids])
 
 
 def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, ladder_female):
-    """The ordinal subproblem objective at the given state, original coordinates."""
+    """The ordinal subproblem objective at the given state, original coordinates.
+
+    With ``anchor`` set, the quadratic term carries the coupling
+    ``lambda3 * (w . anchor)^2``.
+    """
     quad = 0.5 * float(w @ w)
     if anchor is not None and lambda3 > 0.0:
         quad += lambda3 * float(w @ anchor) ** 2
@@ -63,15 +57,15 @@ def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, 
 def _build_terms(ranks, genders, num_ranks, split):
     """Hinge terms and cut bookkeeping for the reduced problem."""
     n_cuts_per = num_ranks - 1
-    k = np.asarray(ranks, dtype=int)[:, None]
-    base = np.where(np.asarray(genders) == FEMALE, n_cuts_per, 0)[:, None] if split else 0
-    # per sample, the term below cut k then the term above cut k-1; a
-    # row-major mask keeps that order
-    present = np.hstack((k <= n_cuts_per, k >= 2))
-    rows = np.broadcast_to(np.arange(k.shape[0])[:, None], present.shape)[present]
-    taus = np.broadcast_to(np.array([1.0, -1.0]), present.shape)[present]
-    cuts = (base + k - np.array([1, 2]))[present]
+    k = np.asarray(ranks, dtype=int)
+    # per sample, the term below cut k then the term above cut k-1: the flat
+    # indices of a row-major (sample, side) mask keep that order
+    flat = np.flatnonzero(np.stack((k <= n_cuts_per, k >= 2), axis=1))
+    rows, side = flat >> 1, flat & 1
+    taus = 1.0 - 2.0 * side
+    cuts = k[rows] - 1 - side
     if split:
+        cuts += np.where(np.asarray(genders)[rows] == FEMALE, n_cuts_per, 0)
         chains = (tuple(range(n_cuts_per)), tuple(range(n_cuts_per, 2 * n_cuts_per)))
         n_cuts = 2 * n_cuts_per
     else:
@@ -139,9 +133,7 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
         w=w,
         ladder_male=ladder_male,
         ladder_female=ladder_female,
-        objective=svor_objective(
-            X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, ladder_female
-        ),
+        objective=sol.objective,
         iterations=sol.steps,
     )
 

@@ -25,31 +25,26 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, ThresholdLadder, TrainConfig, Variant
 from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch
-from .svm import solve_svm
-from .svor import ordinal_slacks, predict_ranks, solve_svor
+from .svm import solve_svm, svm_objective
+from .svor import predict_ranks, solve_svor, svor_objective
 
 
 def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male, ladder_female):
     """Full joint objective at an arbitrary state.
 
-    Slack values are taken as the margin violations of the given state, so
-    the result is exact for any (w_g, b_g, w_a, ladders), fitted or not.
+    The classifier's subproblem objective without coupling plus the ordinal
+    one coupled on ``w_g``; slack values are the margin violations of the
+    given state, so the result is exact for any (w_g, b_g, w_a, ladders),
+    fitted or not.
     """
     w_g = np.asarray(w_g, dtype=float)
     w_a = np.asarray(w_a, dtype=float)
     if w_g.shape != (ds.dim,) or w_a.shape != (ds.dim,):
         raise DimensionMismatch("state dimensions do not match the dataset")
-    y = ds.gender.astype(float)
-    hinge = np.clip(1.0 - y * (ds.features @ w_g + b_g), 0.0, None).sum()
-    slacks = ordinal_slacks(ds.features @ w_a, ds.age_rank, ds.gender, ladder_male, ladder_female)
-    coupling = hyper.lambda3 * float(w_g @ w_a) ** 2
-    return (
-        0.5 * float(w_g @ w_g)
-        + hyper.lambda1 * float(hinge)
-        + 0.5 * float(w_a @ w_a)
-        + hyper.lambda2 * slacks
-        + coupling
-    )
+    X = ds.features
+    return (svm_objective(X, ds.gender, hyper.lambda1, None, 0.0, w_g, b_g)
+            + svor_objective(X, ds.age_rank, ds.gender, hyper.lambda2, w_g, hyper.lambda3, w_a,
+                             ladder_male, ladder_female))
 
 
 def model_objective(ds: Dataset, hyper: HyperParams, model: GenAgeModel):

@@ -76,7 +76,7 @@ def assert_certified_chained_optimum(prob, sol, beta, tol=1e-6):
 @pytest.mark.parametrize("seed", range(40))
 def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
     prob = random_hinge_problem(seed)
-    beta, iterations = _ipm_warm_start(prob, smo.default_budget(prob.z.shape))
+    beta, iterations = _ipm_warm_start(prob)
     assert np.all(beta >= 0.0) and np.all(beta <= prob.penalty)
     both = np.bincount(prob.cut, prob.tau > 0, prob.n_cuts) * np.bincount(prob.cut, prob.tau < 0, prob.n_cuts)
     one_sided = both == 0
@@ -95,8 +95,8 @@ def record_warm_starts(monkeypatch):
     """Patches the warm start to append (problem, duals, iterations) per call."""
     handed, warm_start = [], smo._ipm_warm_start
 
-    def recording(prob, budget):
-        beta, iterations = warm_start(prob, budget)
+    def recording(prob):
+        beta, iterations = warm_start(prob)
         handed.append((prob, beta, iterations))
         return beta, iterations
 
@@ -146,7 +146,7 @@ def test_warm_start_from_degenerate_features_raises_no_warning(features):
     prob = smo.HingeProblem(z, rng.choice([-1.0, 1.0], 60), rng.integers(0, 3, 60), 3, ((0, 1, 2),), 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        beta, iterations = _ipm_warm_start(prob, smo.default_budget(prob.z.shape))
+        beta, iterations = _ipm_warm_start(prob)
         sol = smo.solve_hinge_dual(prob)
     assert iterations > 0 and np.all(np.isfinite(beta))
     assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
@@ -305,7 +305,7 @@ def test_warm_started_solves_match_the_qp_oracles(monkeypatch):
     sizes = []
     warm_start = smo._ipm_warm_start
     monkeypatch.setattr(smo, "_ipm_warm_start",
-                        lambda prob, budget: sizes.append(prob.z.shape[0]) or warm_start(prob, budget))
+                        lambda prob: sizes.append(prob.z.shape[0]) or warm_start(prob))
 
     sol = solve_svm(ds, 10.0, anchor=w_a, lambda3=10.0, tol=1e-9)
     ref = svm_oracle(X, genders, 10.0, w_a, 10.0)
@@ -326,7 +326,7 @@ def test_warm_start_hands_over_a_near_optimal_dual_at_large_k(monkeypatch, split
     handed = []
     warm_start = smo._ipm_warm_start
     monkeypatch.setattr(smo, "_ipm_warm_start",
-                        lambda prob, budget: handed.append((prob, warm_start(prob, budget))) or handed[-1][1])
+                        lambda prob: handed.append((prob, warm_start(prob))) or handed[-1][1])
     solve_svor(ds, 10.0, split_thresholds=split)
     prob, (beta, _) = handed[0]
     best = smo.solve_hinge_dual(prob, tol=1e-10).objective
@@ -337,9 +337,11 @@ def test_warm_start_hands_over_a_near_optimal_dual_at_large_k(monkeypatch, split
 
 def test_exhausted_step_budget_raises_non_convergence(monkeypatch):
     """A small ordinal instance (64 terms, four-cut chain) with no steps
-    allowed: the typed error reaches the caller with the open gap."""
+    allowed: the typed error reaches the caller with the open gap.  The warm
+    start is capped at no iterations too, as it alone certifies this
+    instance."""
     ds = generate(SynthConfig(dim=4, samples_per_cell=4, noise_sigma=1.0, seed=0))
-    monkeypatch.setattr(smo, "default_budget", lambda shape: 0)
+    _no_steps(monkeypatch)
     with pytest.raises(NonConvergence) as raised:
         solve_svor(ds, 10.0)
     assert raised.value.gap > 0.0
@@ -352,8 +354,8 @@ def test_interior_point_iterations_count_as_steps(monkeypatch):
     counted, started = [], []
     warm_start, finish = smo._ipm_warm_start, smo._DualSolver.solve
 
-    def recording(prob, budget):
-        beta, iterations = warm_start(prob, budget)
+    def recording(prob):
+        beta, iterations = warm_start(prob)
         counted.append(iterations)
         return beta, iterations
 
@@ -365,7 +367,9 @@ def test_interior_point_iterations_count_as_steps(monkeypatch):
 
 
 def _no_steps(monkeypatch):
+    # the warm start's iterations are capped apart from the budget
     monkeypatch.setattr(smo, "default_budget", lambda shape: 0)
+    monkeypatch.setattr(smo, "_IPM_CAP", 0)
 
 
 def _primal_never_meets_the_dual(monkeypatch):

@@ -16,7 +16,8 @@ import pytest
 
 import genage.svm
 import genage.svor
-from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate
+import genage.train
+from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate, svm_objective, svor_objective
 
 WALL_BOUND_S = 10.0
 
@@ -148,3 +149,42 @@ def test_huge_hinge_weights_certify_through_the_zero_dual_restart(monkeypatch):
         assert sol.gap <= hyper.tol * (1.0 + abs(sol.objective))
     assert np.all(np.diff(model.objective_trace) <= 0.0)
     assert elapsed <= WALL_BOUND_S, f"took {elapsed:.1f} s"
+
+
+def fit_recomputing_objectives(ds, hyper, monkeypatch):
+    """Fit ``ds``; return (reported, recomputed) per subproblem solve, where
+    the second is the objective evaluated at the solution's point."""
+    pairs = []
+    solve_svm, solve_svor = genage.train.solve_svm, genage.train.solve_svor
+
+    def svm(ds, lambda1, anchor=None, lambda3=0.0, **kw):
+        sol = solve_svm(ds, lambda1, anchor=anchor, lambda3=lambda3, **kw)
+        pairs.append((sol.objective,
+                      svm_objective(ds.features, ds.gender, lambda1, anchor, lambda3, sol.w, sol.b)))
+        return sol
+
+    def svor(ds, lambda2, anchor=None, lambda3=0.0, **kw):
+        sol = solve_svor(ds, lambda2, anchor=anchor, lambda3=lambda3, **kw)
+        pairs.append((sol.objective,
+                      svor_objective(ds.features, ds.age_rank, ds.gender, lambda2, anchor, lambda3,
+                                     sol.w, sol.ladder_male, sol.ladder_female)))
+        return sol
+
+    monkeypatch.setattr(genage.train, "solve_svm", svm)
+    monkeypatch.setattr(genage.train, "solve_svor", svor)
+    fit(ds, TrainConfig(hyper=hyper))
+    return pairs
+
+
+@pytest.mark.parametrize("name, make, hyper, bound", [
+    # the agreement the benchmark's optimality check requires
+    ("default", scaled(1.0), HyperParams(), 1e-9),
+    # the solve's tol (the default 1e-6): its gap is certified only to that here
+    ("extreme-lambdas", CASES["extreme-lambdas"], HyperParams(**LAMBDAS["extreme-lambdas"]), 1e-6),
+    ("1e8-st", scaled(1.0), HyperParams(variant="st", lambda1=1e8, lambda2=1e8), 1e-6),
+])
+def test_reported_objectives_match_the_objective_at_the_returned_point(name, make, hyper, bound, monkeypatch):
+    pairs = fit_recomputing_objectives(make(), hyper, monkeypatch)
+    assert len(pairs) == 1 + 2 * hyper.t_max
+    for reported, recomputed in pairs:
+        assert abs(reported - recomputed) <= bound * (1.0 + abs(recomputed)), name
