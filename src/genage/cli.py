@@ -209,7 +209,7 @@ def model_from_dict(payload) -> GenAgeModel:
     )
 
 
-def _load_synth_config(path, seed=None):
+def _load_synth_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     fields = set(SynthConfig.__dataclass_fields__)
@@ -219,8 +219,7 @@ def _load_synth_config(path, seed=None):
     for key in ("gender_direction", "aging_direction", "male_cut_centers", "female_cut_centers"):
         if key in payload and payload[key] is not None:
             payload[key] = tuple(payload[key])
-    cfg = SynthConfig(**payload)
-    return cfg.replace(seed=seed) if seed is not None else cfg
+    return SynthConfig(**payload)
 
 
 def _resolve_seed(args, default=0):
@@ -249,11 +248,8 @@ def _hyper_from_args(args, variant=None):
 # ------------------------------------------------------------------ commands
 
 def _cmd_generate(args):
-    seed = args.seed if args.seed is not None else None
-    cfg = _load_synth_config(args.config, seed=seed) if args.config else SynthConfig(
-        seed=_resolve_seed(args, default=SynthConfig.seed)
-    )
-    export_csv(generate(cfg), args.out)
+    cfg = _load_synth_config(args.config) if args.config else SynthConfig()
+    export_csv(generate(cfg.replace(seed=_resolve_seed(args, default=cfg.seed))), args.out)
     return 0
 
 

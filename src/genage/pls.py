@@ -1,11 +1,14 @@
 """Two-block partial least squares baseline.
 
-Gender and age rank are concatenated into a two-column regression target
-and fit with NIPALS: each component extracts a unit-norm input weight
-maximizing the covariance between the projected blocks, then deflates the
-input matrix.  Inputs are centered but not variance-scaled.  The decoded
-prediction takes the sign of the first output (gender) and the second
-output rounded and clamped into 1..K (rank).
+Gender and age rank are concatenated into a two-column regression target.
+Each component's unit-norm input weight maximizes the covariance between
+the projected input and target blocks: it is the leading left singular
+vector of the cross-covariance of the inputs, deflated by the components
+before it, with the target.  This is the fixed point the NIPALS inner
+iteration converges to (Hoskuldsson, J. Chemometrics 2(3), 1988), taken
+from one SVD instead.  Inputs are centered but not variance-scaled.  The
+decoded prediction takes the sign of the first output (gender) and the
+second output rounded and clamped into 1..K (rank).
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset
 from .errors import BadConfig, DimensionMismatch, RankDeficient
-
-_INNER_TOL = 1e-12
-_INNER_MAX = 500
 
 
 @dataclass(frozen=True)
@@ -69,29 +69,23 @@ def fit_pls(X, Y, n_components, num_ranks=None):
     W = np.zeros((d, n_components))
     P = np.zeros((d, n_components))
     Q = np.zeros((2, n_components))
-    scale = max(float(np.abs(Xc).max()), 1.0)
+    # below this, against the inputs' magnitude, a cross-covariance or score
+    # norm is roundoff
+    floor = 1e-12 * max(float(np.abs(Xc).max()), 1.0)
+    # NIPALS starts from the max-variance target column and converges to the
+    # singular vector on its side, so that column fixes the sign, not LAPACK
+    start = int(np.argmax(Yc.var(axis=0)))
     for a in range(n_components):
-        u = Yc[:, int(np.argmax(Yc.var(axis=0)))]
-        if np.abs(u).max() <= 1e-8:  # np.allclose(u, 0.0) without its overhead; NaN is not close
-            u = Yc[:, 0]
-        t_old = None
-        for _ in range(_INNER_MAX):
-            w = Xc.T @ u
-            norm = np.linalg.norm(w)
-            if norm <= _INNER_TOL * scale:
-                raise RankDeficient(f"deflated X vanished at component {a + 1}")
-            w /= norm
-            t = Xc @ w
-            tt = float(t @ t)
-            if tt <= (_INNER_TOL * scale) ** 2:
-                raise RankDeficient(f"deflated X vanished at component {a + 1}")
-            q = Yc.T @ t / tt
-            if np.abs(q).max() <= 1e-8:
-                break
-            u = Yc @ q / float(q @ q)
-            if t_old is not None and np.linalg.norm(t - t_old) <= _INNER_TOL * np.linalg.norm(t):
-                break
-            t_old = t
+        cross = Xc.T @ Yc
+        left, sigma, _ = np.linalg.svd(cross, full_matrices=False)
+        if sigma[0] <= floor:
+            raise RankDeficient(f"cross-covariance vanished at component {a + 1}")
+        w = left[:, 0] if left[:, 0] @ cross[:, start] >= 0.0 else -left[:, 0]
+        t = Xc @ w
+        tt = float(t @ t)
+        if tt <= floor ** 2:
+            raise RankDeficient(f"deflated X vanished at component {a + 1}")
+        q = Yc.T @ t / tt
         p = Xc.T @ t / tt
         Xc = Xc - np.outer(t, p)
         W[:, a] = w
@@ -114,8 +108,8 @@ def fit_pls(X, Y, n_components, num_ranks=None):
 def truncate_pls(model: PlsModel, n_components):
     """The model made of the first ``n_components`` components of ``model``.
 
-    NIPALS extracts each component from the inputs deflated by the ones
-    before it, so this is the model ``fit_pls`` returns for that count, and a
+    Each component is extracted from the inputs deflated by the ones before
+    it, so this is the model ``fit_pls`` returns for that count, and a
     search over counts can fit once at the largest.
     """
     if not 1 <= n_components <= model.n_components:

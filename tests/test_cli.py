@@ -270,14 +270,27 @@ def test_cv_command_reports_grid(tmp_path):
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
-    data_a = tmp_path / "a.csv"
-    data_b = tmp_path / "b.csv"
-    monkeypatch.setenv("GENAGE_SEED", "123")
-    assert main(["generate", "--out", str(data_a)]) == 0
-    assert main(["generate", "--out", str(data_b)]) == 0
-    assert data_a.read_bytes() == data_b.read_bytes()
-    monkeypatch.setenv("GENAGE_SEED", "not-a-number")
-    assert main(["generate", "--out", str(tmp_path / "c.csv")]) == 1
+    # the seed is --seed, then GENAGE_SEED, then the config's (or the default)
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"samples_per_cell": 3, "seed": 5}), encoding="utf-8")
+
+    def generate_bytes(*flags):
+        out = tmp_path / "out.csv"
+        assert main(["generate", *flags, "--out", str(out)]) == 0, flags
+        return out.read_bytes()
+
+    for extra in ([], ["--config", str(config)]):
+        monkeypatch.delenv("GENAGE_SEED", raising=False)
+        unset = generate_bytes(*extra)
+        flag = generate_bytes(*extra, "--seed", "123")
+        monkeypatch.setenv("GENAGE_SEED", "123")
+        env = generate_bytes(*extra)
+        assert env == generate_bytes(*extra), extra
+        assert env == flag, extra
+        assert env != unset, extra
+        assert generate_bytes(*extra, "--seed", "7") != env, extra
+        monkeypatch.setenv("GENAGE_SEED", "not-a-number")
+        assert main(["generate", *extra, "--out", str(tmp_path / "c.csv")]) == 1, extra
 
 
 def test_errors_exit_nonzero_without_partial_output(tmp_path, capsys):
