@@ -12,7 +12,7 @@ from genage import SynthConfig, fit_pls_dataset, generate, mae, predict_pls_batc
 
 ds = generate(SynthConfig(discrepancy=2.0, seed=42))
 
-n_comp = select_pls_components(ds, max_components=8)
+n_comp = select_pls_components(ds)
 print(f"components picked by 5-fold rank MAE: {n_comp}")
 
 model = fit_pls_dataset(ds, n_comp)

@@ -14,7 +14,6 @@ from .core import (
     Dataset,
     GenAgeModel,
     HyperParams,
-    Sample,
     ThresholdLadder,
     TrainConfig,
     Variant,
@@ -33,9 +32,9 @@ from .evaluate import (
 )
 from .pls import PlsModel, fit_pls, fit_pls_dataset, predict_pls, predict_pls_batch
 from .svm import SvmSolution, solve_svm, svm_objective
-from .svor import SvorSolution, ordinal_slacks, predict_rank, predict_ranks, solve_svor, svor_objective
+from .svor import SvorSolution, ordinal_slacks, predict_ranks, solve_svor, svor_objective
 from .synth import SynthConfig, effective_cuts, generate, true_directions
-from .train import fit, fit_many, model_objective, objective_value, predict, predict_batch
+from .train import fit, fit_many, objective_value, predict, predict_batch
 
 __all__ = [
     "Dataset",
@@ -45,7 +44,6 @@ __all__ = [
     "HyperParams",
     "MALE",
     "PlsModel",
-    "Sample",
     "SvmSolution",
     "SvorSolution",
     "SynthConfig",
@@ -62,14 +60,12 @@ __all__ = [
     "generate",
     "hyper_grid",
     "mae",
-    "model_objective",
     "objective_value",
     "ordinal_slacks",
     "predict",
     "predict_batch",
     "predict_pls",
     "predict_pls_batch",
-    "predict_rank",
     "predict_ranks",
     "run_experiment",
     "select_pls_components",

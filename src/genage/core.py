@@ -1,9 +1,11 @@
-"""Core domain types: samples, datasets, threshold ladders, models.
+"""Core domain types: datasets, threshold ladders, models.
 
 Conventions used throughout the package:
 
 * gender is encoded as +1 (male) / -1 (female);
 * age ranks are contiguous integers 1..K;
+* a dataset is validated when it is built, so every dataset a caller
+  holds meets these conventions and has finite features;
 * all arrays are float64 / int64 and frozen after construction, so every
   type here can be shared across threads read-only.
 """
@@ -52,23 +54,12 @@ class Variant(str, Enum):
             raise ValueError(f"unknown variant {text!r}, expected one of: {names}") from None
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: a feature vector, a gender label and an age rank."""
-
-    features: np.ndarray
-    gender: int
-    age_rank: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _frozen_array(self.features))
-
-
 class Dataset:
-    """A column-major view of samples: features (N, d), gender (N,), age_rank (N,).
+    """Samples stored column-major: features (N, d), gender (N,), age_rank (N,).
 
     ``num_ranks`` declares K; ``rank_to_year`` optionally maps rank k to the
-    raw year it was compacted from (index k-1).
+    raw year it was compacted from (index k-1).  The constructor copies the
+    given arrays and runs :func:`validate_dataset` on the result.
     """
 
     __slots__ = ("features", "gender", "age_rank", "num_ranks", "rank_to_year")
@@ -76,11 +67,13 @@ class Dataset:
     def __init__(self, features, gender, age_rank, num_ranks=None, rank_to_year=None):
         self._hold(np.array(features, dtype=float, ndmin=2), np.array(gender, dtype=int),
                    np.array(age_rank, dtype=int), num_ranks, rank_to_year)
+        validate_dataset(self)
 
     @classmethod
     def _adopt(cls, features, gender, age_rank, num_ranks=None, rank_to_year=None):
         """A dataset over arrays built for it that no caller keeps a handle on:
-        they are frozen in place instead of copied."""
+        they are frozen in place instead of copied, and not validated, so the
+        builder validates them or takes them from a valid dataset."""
         ds = cls.__new__(cls)
         ds._hold(np.asarray(features, dtype=float), np.asarray(gender, dtype=int),
                  np.asarray(age_rank, dtype=int), num_ranks, rank_to_year)
@@ -103,13 +96,6 @@ class Dataset:
         self.num_ranks = int(num_ranks)
         self.rank_to_year = tuple(rank_to_year) if rank_to_year is not None else None
 
-    @classmethod
-    def from_samples(cls, samples, num_ranks=None, rank_to_year=None):
-        features = np.stack([np.asarray(s.features, dtype=float) for s in samples])
-        gender = [s.gender for s in samples]
-        rank = [s.age_rank for s in samples]
-        return cls(features, gender, rank, num_ranks=num_ranks, rank_to_year=rank_to_year)
-
     @property
     def n(self):
         return self.features.shape[0]
@@ -117,13 +103,6 @@ class Dataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    @property
-    def samples(self):
-        return [
-            Sample(self.features[i], int(self.gender[i]), int(self.age_rank[i]))
-            for i in range(self.n)
-        ]
 
     def counts(self):
         """Per-gender, per-rank sample counts as a dict {(gender, rank): count}."""
@@ -247,7 +226,6 @@ class TrainConfig:
     """Everything :func:`genage.train.fit` needs besides the data."""
 
     hyper: HyperParams = field(default_factory=HyperParams)
-    record_trace: bool = True
 
 
 @dataclass(frozen=True)

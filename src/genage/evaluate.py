@@ -25,6 +25,8 @@ from .train import fit, fit_many, predict_batch  # noqa: F401  (fit: perfbench's
 PLS_METHOD = "pls"
 GENAGE_METHODS = tuple(v.value for v in Variant)
 ALL_METHODS = GENAGE_METHODS + (PLS_METHOD,)
+PLS_MAX_COMPONENTS = 8
+PLS_FOLDS = 5
 
 
 def mae(predicted, truth):
@@ -86,7 +88,7 @@ def cross_validate(ds: Dataset, grid, folds=5):
     candidates = list(grid)
     if not candidates:
         raise EmptyInput("empty hyperparameter grid")
-    configs = [TrainConfig(hyper=hp, record_trace=False) for hp in candidates]
+    configs = [TrainConfig(hyper=hp) for hp in candidates]
     scores = [[] for _ in candidates]
     all_idx = np.arange(ds.n)
     # folds outside, grid inside: one subset pair per fold, and the grid's
@@ -240,10 +242,8 @@ def _evaluate_genage(model, test):
     return rec
 
 
-def _evaluate_pls(train, test, n_components):
-    if n_components is None:
-        n_components = select_pls_components(train)
-    model = fit_pls_dataset(train, n_components)
+def _evaluate_pls(train, test):
+    model = fit_pls_dataset(train, select_pls_components(train))
     pred_gender, pred_rank = predict_pls_batch(model, test.features)
     rec = _base_record(test, pred_gender, pred_rank)
     rec.angle_deg = angle_deg(model.coefficients[:, 0], model.coefficients[:, 1])
@@ -267,14 +267,15 @@ def _base_record(test, pred_gender, pred_rank):
     )
 
 
-def select_pls_components(ds: Dataset, max_components=8, folds=5):
-    """Pick the component count by 5-fold rank MAE on the training data.
+def select_pls_components(ds: Dataset):
+    """Pick the component count, at most ``PLS_MAX_COMPONENTS``, by
+    ``PLS_FOLDS``-fold rank MAE on the training data.
 
     Each fold is fit once at the largest count; smaller counts are its
     leading components (:func:`genage.pls.truncate_pls`).
     """
-    limit = min(ds.dim, ds.n - 1, max_components)
-    fold_idx = stratified_folds(ds, folds)
+    limit = min(ds.dim, ds.n - 1, PLS_MAX_COMPONENTS)
+    fold_idx = stratified_folds(ds, PLS_FOLDS)
     all_idx = np.arange(ds.n)
     scores = [[] for _ in range(limit)]
     for val in fold_idx:
@@ -292,8 +293,7 @@ def select_pls_components(ds: Dataset, max_components=8, folds=5):
     return best
 
 
-def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0,
-                   pls_components=None):
+def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0):
     """Fit every method over ``runs`` stratified splits and aggregate.
 
     ``data`` is a Dataset or a SynthConfig (generated once).  Returns a dict
@@ -302,15 +302,15 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0,
     oracle-routing MAE diagnostic, the learned ladders and the direction
     angle.
     """
-    ds = generate(data) if isinstance(data, SynthConfig) else data
-    if hyper is None:
-        hyper = HyperParams()
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {ALL_METHODS}")
+    ds = generate(data) if isinstance(data, SynthConfig) else data
+    if hyper is None:
+        hyper = HyperParams()
     reports = {m: EvalReport(method=m, runs=runs, train_per_rank=train_per_rank) for m in methods}
     variants = [m for m in methods if m != PLS_METHOD]
-    configs = [TrainConfig(hyper=hyper.replace(variant=Variant(m)), record_trace=False) for m in variants]
+    configs = [TrainConfig(hyper=hyper.replace(variant=Variant(m))) for m in variants]
     root = np.random.SeedSequence(seed)
     for run, child in enumerate(root.spawn(runs)):
         rng = np.random.default_rng(child)
@@ -318,7 +318,7 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0,
         models = dict(zip(variants, fit_many(train, configs)))
         for method in methods:
             if method == PLS_METHOD:
-                rec = _evaluate_pls(train, test, pls_components)
+                rec = _evaluate_pls(train, test)
             else:
                 rec = _evaluate_genage(models[method], test)
             rec.run = run

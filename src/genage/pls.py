@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import FEMALE, MALE, Dataset
-from .errors import BadConfig, DimensionMismatch, RankDeficient
+from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,18 @@ def fit_pls(X, Y, n_components, num_ranks=None):
     num_ranks : int or None
         Clamp bound for decoded ranks; inferred from Y when omitted.
 
-    Raises RankDeficient when deflation exhausts X before extracting the
-    requested number of components.
+    Raises NonFiniteFeature naming the first row of X or Y that holds a NaN
+    or infinity, and RankDeficient when deflation exhausts X before
+    extracting the requested number of components.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2 or Y.shape[1] != 2 or X.shape[0] != Y.shape[0]:
         raise DimensionMismatch("X must be (N, d) and Y (N, 2) with matching N")
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(Y).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteFeature(i, f"row {i} of X or Y is not finite")
     n, d = X.shape
     if n < 2:
         raise BadConfig("at least two samples are required")

@@ -138,15 +138,6 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
     )
 
 
-def predict_rank(w, ladder: ThresholdLadder, x):
-    """Smallest rank k whose cut exceeds the score; K when no cut does."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != w.shape:
-        raise DimensionMismatch(f"x has shape {x.shape}, expected {w.shape}")
-    return int(predict_ranks(w @ x, ladder))
-
-
 def predict_ranks(scores, ladder: ThresholdLadder):
     """Smallest rank k whose cut exceeds each score; K when no cut does."""
     return ladder.cuts.searchsorted(scores, side="right") + 1

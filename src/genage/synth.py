@@ -33,10 +33,7 @@ class SynthConfig:
     num_ranks: int = 5
     samples_per_cell: int = 40
     gender_gap: float = 4.0
-    gender_direction: tuple | None = None   # defaults to e1
-    aging_direction: tuple | None = None    # defaults to e2
     male_cut_centers: tuple = (-3.0, -1.0, 1.0, 3.0)
-    female_cut_centers: tuple | None = None  # defaults to the male centers
     discrepancy: float = 0.0
     noise_sigma: float = 0.5
     seed: int = 42
@@ -47,36 +44,21 @@ class SynthConfig:
         return replace(self, **changes)
 
 
-def _directions(cfg):
-    g = np.zeros(cfg.dim) if cfg.gender_direction is None else np.asarray(cfg.gender_direction, float)
-    a = np.zeros(cfg.dim) if cfg.aging_direction is None else np.asarray(cfg.aging_direction, float)
-    if cfg.gender_direction is None:
-        g[0] = 1.0
-    if cfg.aging_direction is None:
-        a[1] = 1.0
-    if g.shape != (cfg.dim,) or a.shape != (cfg.dim,):
-        raise BadConfig("direction vectors must have length dim")
-    gn = np.linalg.norm(g)
-    if gn == 0.0:
-        raise BadConfig("gender direction must be nonzero")
-    g = g / gn
-    a = a - (a @ g) * g
-    an = np.linalg.norm(a)
-    if an <= 1e-12:
-        raise BadConfig("aging direction must be independent of the gender direction")
-    return g, a / an
-
-
 def true_directions(cfg: SynthConfig):
-    """The orthonormalized (gender, aging) ground-truth directions."""
-    return _directions(cfg)
+    """The (gender, aging) ground-truth directions: the first two unit vectors.
+
+    The noise is isotropic, so any other orthonormal pair would give the
+    same distribution up to a rotation of the features.
+    """
+    g, a = np.zeros(cfg.dim), np.zeros(cfg.dim)
+    g[0] = a[1] = 1.0
+    return g, a
 
 
 def effective_cuts(cfg: SynthConfig):
     """Male and female cut positions actually used for binning."""
     male = np.asarray(cfg.male_cut_centers, dtype=float)
-    female_base = male if cfg.female_cut_centers is None else np.asarray(cfg.female_cut_centers, float)
-    return male, female_base + cfg.discrepancy
+    return male, male + cfg.discrepancy
 
 
 def _check(cfg):
@@ -90,10 +72,10 @@ def _check(cfg):
         raise BadConfig("gender_gap must be positive")
     if cfg.noise_sigma < 0 or cfg.discrepancy < 0:
         raise BadConfig("noise_sigma and discrepancy must be nonnegative")
-    male, female = effective_cuts(cfg)
-    if male.shape != (cfg.num_ranks - 1,) or female.shape != (cfg.num_ranks - 1,):
+    male, _ = effective_cuts(cfg)
+    if male.shape != (cfg.num_ranks - 1,):
         raise BadConfig("cut centers must have length num_ranks - 1")
-    if np.any(np.diff(male) < 0) or np.any(np.diff(female) < 0):
+    if np.any(np.diff(male) < 0):
         raise BadConfig("cut centers must be non-decreasing")
 
 
@@ -106,7 +88,7 @@ def _bins(cuts):
 def generate(cfg: SynthConfig) -> Dataset:
     """Draw the configured dataset; bit-identical for identical configs."""
     _check(cfg)
-    g_dir, a_dir = _directions(cfg)
+    g_dir, a_dir = true_directions(cfg)
     cuts_m, cuts_f = effective_cuts(cfg)
     lows_m, highs_m = _bins(cuts_m)
     lows_f, highs_f = _bins(cuts_f)

@@ -47,12 +47,6 @@ def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male,
                              ladder_male, ladder_female))
 
 
-def model_objective(ds: Dataset, hyper: HyperParams, model: GenAgeModel):
-    return objective_value(
-        ds, hyper, model.w_g, model.b_g, model.w_a, model.ladder_male, model.ladder_female
-    )
-
-
 def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
     """Train a model on ``ds`` according to ``cfg.hyper.variant``.
 
@@ -157,7 +151,7 @@ def _alternate(ds: Dataset, cfg: TrainConfig, init, first_svm) -> GenAgeModel:
         ladder_male=ladder_m,
         ladder_female=ladder_f,
         variant=variant,
-        objective_trace=tuple(trace) if cfg.record_trace else (),
+        objective_trace=tuple(trace),
     )
 
 

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from genage import SynthConfig, generate
-from genage.cli import export_csv, ingest_csv, main, model_from_dict
+from genage import GenAgeModel, SynthConfig, ThresholdLadder, Variant, generate
+from genage.cli import _atomic_write, export_csv, ingest_csv, main, model_from_dict, model_to_dict
 from genage.errors import ParseError
 from genage.train import predict_batch
 
@@ -306,9 +306,56 @@ def test_evaluate_requires_exactly_one_source(tmp_path):
     assert code == 1
 
 
-def test_bad_synth_config_key_is_reported(tmp_path):
+def test_bad_synth_config_key_is_reported(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"not_a_field": 1}), encoding="utf-8")
-    code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    for key, value in (("not_a_field", 1), ("gender_direction", [1.0, 0.0]),
+                       ("aging_direction", [0.0, 1.0]), ("female_cut_centers", [0.0])):
+        bad.write_text(json.dumps({key: value}), encoding="utf-8")
+        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "unknown synth config keys" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def test_listed_cut_centers_generate_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("GENAGE_SEED", raising=False)
+    cuts = (-2.0, 0.0, 1.0, 2.5)
+    out = tmp_path / "listed.csv"
+    config = synth_json(tmp_path, samples_per_cell=3, male_cut_centers=list(cuts))
+    assert main(["generate", "--config", config, "--out", str(out)]) == 0
+    export_csv(generate(SynthConfig(samples_per_cell=3, dim=5, seed=5, male_cut_centers=cuts)),
+               str(tmp_path / "tuple.csv"))
+    assert out.read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+
+def test_evaluate_rejects_an_unknown_method(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", "tt,foo",
+                 "--runs", "1", "--train-per-rank", "8", "--out", str(out)])
     assert code == 1
-    assert not (tmp_path / "x.csv").exists()
+    assert "'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_another_model_schema(tmp_path, capsys):
+    ladder = ThresholdLadder([0.0])
+    payload = model_to_dict(GenAgeModel(w_g=[1.0], b_g=0.0, w_a=[1.0], ladder_male=ladder,
+                                        ladder_female=ladder, variant=Variant.TT))
+    payload["schema_version"] = 2
+    model_path = write(tmp_path / "model.json", json.dumps(payload))
+    data = write(tmp_path / "d.csv", "f1,gender,age\n0.5,M,1\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", model_path, "--data", data, "--out", str(out)]) == 1
+    assert "unsupported model schema 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_chunks_leave_no_file(tmp_path):
+    def chunks():
+        yield "gender,age\n"
+        raise RuntimeError("chunk failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(target), chunks())
+    assert list(tmp_path.iterdir()) == []

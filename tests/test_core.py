@@ -3,11 +3,12 @@ import pytest
 
 from genage import (
     Dataset,
+    SynthConfig,
     GenAgeModel,
     HyperParams,
-    Sample,
     ThresholdLadder,
     Variant,
+    generate,
     validate_dataset,
 )
 from genage.errors import (
@@ -34,24 +35,41 @@ def test_validate_is_idempotent():
 
 
 def test_bad_gender_label_names_index():
-    ds = Dataset([[0.0], [1.0], [2.0]], [1, 0, -1], [1, 2, 2], num_ranks=2)
     with pytest.raises(BadGenderLabel) as err:
-        validate_dataset(ds)
+        Dataset([[0.0], [1.0], [2.0]], [1, 0, -1], [1, 2, 2], num_ranks=2)
     assert err.value.index == 1
 
 
 def test_nan_feature_names_index():
-    ds = Dataset([[0.0], [np.nan]], [1, -1], [1, 2], num_ranks=2)
     with pytest.raises(NonFiniteFeature) as err:
-        validate_dataset(ds)
+        Dataset([[0.0], [np.nan]], [1, -1], [1, 2], num_ranks=2)
     assert err.value.index == 1
 
 
 def test_rank_out_of_range_names_index():
-    ds = Dataset([[0.0], [1.0]], [1, -1], [1, 7], num_ranks=3)
     with pytest.raises(RankOutOfRange) as err:
-        validate_dataset(ds)
+        Dataset([[0.0], [1.0]], [1, -1], [1, 7], num_ranks=3)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("column, value, error", [
+    ("gender", 2, BadGenderLabel),
+    ("gender", 0, BadGenderLabel),
+    ("age_rank", 9, RankOutOfRange),
+    ("age_rank", 0, RankOutOfRange),
+    ("age_rank", -2, RankOutOfRange),
+    ("features", np.nan, NonFiniteFeature),
+    ("features", -np.inf, NonFiniteFeature),
+])
+def test_construction_rejects_one_bad_value(column, value, error):
+    """One bad value in an otherwise valid dataset fails at construction,
+    before a fit can misroute the row or fail on it with a numpy error."""
+    ds = generate(SynthConfig(discrepancy=2.0, seed=3))
+    arrays = {name: getattr(ds, name).copy() for name in ("features", "gender", "age_rank")}
+    arrays[column][17] = value
+    with pytest.raises(error) as err:
+        Dataset(arrays["features"], arrays["gender"], arrays["age_rank"], num_ranks=ds.num_ranks)
+    assert err.value.index == 17
 
 
 def test_mismatched_lengths_rejected():
@@ -63,12 +81,6 @@ def test_counts_per_gender_and_rank():
     counts = small_dataset().counts()
     assert counts[(1, 1)] == 1 and counts[(-1, 2)] == 1 and counts[(1, 3)] == 1
     assert counts[(-1, 1)] == 0
-
-
-def test_dataset_round_trip_through_samples():
-    ds = small_dataset()
-    again = Dataset.from_samples(ds.samples, num_ranks=ds.num_ranks)
-    assert again == ds
 
 
 def test_dataset_arrays_are_frozen():
@@ -129,7 +141,20 @@ def test_shared_ladder_variants_require_equal_ladders():
     assert model.num_ranks == 2
 
 
-def test_sample_is_immutable_view():
-    sample = Sample(np.array([1.0, 2.0]), 1, 2)
-    with pytest.raises(ValueError):
-        sample.features[0] = 3.0
+def test_ladder_rejects_nested_and_non_finite_cuts():
+    with pytest.raises(LadderOrderError, match="flat"):
+        ThresholdLadder([[0.0, 1.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LadderOrderError, match="finite"):
+            ThresholdLadder([0.0, bad])
+
+
+def test_model_rejects_mismatched_shapes():
+    ladder = ThresholdLadder([0.0])
+    with pytest.raises(DimensionMismatch, match="w_g and w_a"):
+        GenAgeModel(w_g=[1.0, 0.0], b_g=0.0, w_a=[1.0],
+                    ladder_male=ladder, ladder_female=ladder, variant=Variant.TT)
+    with pytest.raises(DimensionMismatch, match="ladders"):
+        GenAgeModel(w_g=[1.0], b_g=0.0, w_a=[1.0],
+                    ladder_male=ladder, ladder_female=ThresholdLadder([0.0, 1.0]),
+                    variant=Variant.TT)

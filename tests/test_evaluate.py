@@ -78,6 +78,13 @@ def test_infeasible_folds_detected():
                               male_cut_centers=(0.0,), seed=3))
     with pytest.raises(InfeasibleFolds):
         stratified_folds(ds, 4)
+    with pytest.raises(InfeasibleFolds, match="two folds"):
+        stratified_folds(ds, 1)
+    eight = generate(SynthConfig(samples_per_cell=1, dim=4, num_ranks=4,
+                                 male_cut_centers=(-1.0, 0.0, 1.0), seed=3))
+    assert eight.n == 8
+    with pytest.raises(InfeasibleFolds, match="fold 8 is empty"):
+        stratified_folds(eight, 9)
 
 
 def test_single_point_grid_returned_as_is():
@@ -86,6 +93,11 @@ def test_single_point_grid_returned_as_is():
     best, table = cross_validate(ds, [only], folds=3)
     assert best is only
     assert len(table) == 1 and len(table[0][1]) == 3
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(EmptyInput, match="grid"):
+        cross_validate(generate(SynthConfig(samples_per_cell=4, dim=3, seed=4)), [], folds=2)
 
 
 def test_tie_break_prefers_larger_lambda3():
@@ -173,7 +185,7 @@ def test_report_contains_ladders_and_diagnostics():
     cfg = SynthConfig(samples_per_cell=12, dim=6, seed=9)
     hp = HyperParams(lambda1=10.0, lambda2=10.0, lambda3=100.0, t_max=1)
     reports = run_experiment(cfg, ["st", "pls"], train_per_rank=12, runs=2,
-                             hyper=hp, seed=1, pls_components=3)
+                             hyper=hp, seed=1)
     st = reports["st"].to_dict()
     assert "ladder_spread_shared" in st  # shared-ladder runs expose one spread
     assert st["ladder_spread_male"] == st["ladder_spread_female"]
@@ -189,7 +201,7 @@ def test_experiment_solves_one_init_per_split(svor_calls):
     cfg = SynthConfig(samples_per_cell=12, dim=6, seed=9)
     hp = HyperParams(lambda1=10.0, lambda2=10.0, lambda3=100.0, t_max=1)
     reports = run_experiment(cfg, ["direct", "2step", "pls", "st", "tt"], train_per_rank=12, runs=2,
-                             hyper=hp, seed=1, pls_components=3)
+                             hyper=hp, seed=1)
     assert sum(init for _, init in svor_calls) == 2
     assert all(len(report.records) == 2 for report in reports.values())
 

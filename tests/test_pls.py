@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from genage import Dataset, fit_pls, fit_pls_dataset, predict_pls, predict_pls_batch
-from genage.errors import BadConfig, DimensionMismatch, RankDeficient
+from genage.errors import BadConfig, DimensionMismatch, NonFiniteFeature, RankDeficient
 from genage.pls import PlsModel, pls_outputs, truncate_pls
 
 
@@ -135,6 +135,8 @@ def test_rank_deficient_raises():
     Y = np.column_stack([X[:, 0], X[:, 0]])
     with pytest.raises(RankDeficient):
         fit_pls(X, Y, n_components=3)
+    with pytest.raises(RankDeficient, match="no variation"):
+        fit_pls(np.full((10, 3), 2.0), Y, n_components=1)
 
 
 @pytest.mark.parametrize("level", [3.0, 0.3])
@@ -153,6 +155,23 @@ def test_component_bounds_checked():
         fit_pls(X, Y, n_components=4)
     with pytest.raises(BadConfig):
         fit_pls(X, Y, n_components=0)
+    with pytest.raises(BadConfig, match="two samples"):
+        fit_pls(X[:1], Y[:1], n_components=1)
+    for bad_x, bad_y in ((X[:, 0], Y), (X, Y[:, :1]), (X, Y[:7]), (X[None], Y)):
+        with pytest.raises(DimensionMismatch):
+            fit_pls(bad_x, bad_y, n_components=1)
+
+
+@pytest.mark.parametrize("block, row, value", [
+    ("X", 3, np.nan), ("X", 0, np.inf), ("Y", 5, np.nan), ("Y", 7, -np.inf),
+])
+def test_non_finite_input_names_its_row(block, row, value):
+    rng = np.random.default_rng(10)
+    arrays = {"X": rng.normal(size=(8, 3)), "Y": rng.normal(size=(8, 2))}
+    arrays[block][row, -1] = value
+    with pytest.raises(NonFiniteFeature) as err:
+        fit_pls(arrays["X"], arrays["Y"], n_components=2)
+    assert err.value.index == row
 
 
 def test_predict_dimension_check():

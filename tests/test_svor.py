@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from genage import Dataset, predict_rank, predict_ranks, solve_svor, svor, ThresholdLadder
-from genage.errors import DimensionMismatch, InsufficientRanks
+from genage import Dataset, predict_ranks, solve_svor, svor, ThresholdLadder
+from genage.errors import InsufficientRanks
 
 from _oracles import random_svor_holes_instance, random_svor_instance, svor_oracle
 
@@ -119,10 +119,7 @@ def test_separable_line_achieves_zero_rank_error():
 
 def test_predict_rank_decision_rule():
     ladder = ThresholdLadder([-1.0, 3.0])
-    w = np.array([1.0])
-    assert predict_rank(w, ladder, np.array([-5.0])) == 1
-    assert predict_rank(w, ladder, np.array([1.0])) == 2
-    assert predict_rank(w, ladder, np.array([10.0])) == 3
+    assert predict_ranks(np.array([-5.0, -1.0, 1.0, 3.0, 10.0]), ladder).tolist() == [1, 2, 2, 3, 3]
 
 
 def test_predict_rank_monotone_in_score():
@@ -134,16 +131,22 @@ def test_predict_rank_monotone_in_score():
     assert np.all(np.diff(ranks) >= 0)
 
 
-def test_predict_rank_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        predict_rank(np.ones(2), ThresholdLadder([0.0]), np.ones(3))
-
-
 def test_insufficient_ranks_per_gender():
     ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1], [1, 2, 1, 1], num_ranks=2)
     with pytest.raises(InsufficientRanks):
         solve_svor(ds, 1.0, split_thresholds=True)
     solve_svor(ds, 1.0, split_thresholds=False)  # merged mode is still fine
+    one_rank = Dataset([[0.0], [1.0], [2.0]], [1, -1, 1], [2, 2, 2], num_ranks=2)
+    with pytest.raises(InsufficientRanks, match="single rank"):
+        solve_svor(one_rank, 1.0, split_thresholds=False)
+
+
+def test_negative_weights_rejected():
+    ds = mirrored_pair_dataset()
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_svor(ds, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_svor(ds, 1.0, anchor=np.ones(1), lambda3=-1.0)
 
 
 def test_sparse_middle_rank_is_handled():

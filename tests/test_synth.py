@@ -34,13 +34,9 @@ def test_cell_counts_are_exact():
 
 
 def test_directions_are_orthonormal():
-    cfg = SynthConfig(gender_direction=(1.0, 1.0, 0.0, 0.0),
-                      aging_direction=(1.0, 0.0, 1.0, 0.0), dim=4,
-                      num_ranks=3, male_cut_centers=(-1.0, 1.0))
+    cfg = SynthConfig(dim=4, num_ranks=3, male_cut_centers=(-1.0, 1.0))
     g, a = true_directions(cfg)
-    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
-    assert g @ a == pytest.approx(0.0, abs=1e-12)
+    assert np.array_equal(np.stack((g, a)), np.eye(4)[:2])
 
 
 def test_noiseless_projections_stay_inside_their_bins():
@@ -107,17 +103,19 @@ def test_bad_configs_rejected():
         generate(SynthConfig(male_cut_centers=(1.0, 0.0, 2.0, 3.0)))
     with pytest.raises(BadConfig):
         generate(SynthConfig(male_cut_centers=(0.0, 1.0)))  # wrong length for K=5
-    with pytest.raises(BadConfig):
-        generate(SynthConfig(gender_direction=(1.0,) * 10, aging_direction=(1.0,) * 10))
+    with pytest.raises(BadConfig, match="dim"):
+        generate(SynthConfig(dim=1))
+    with pytest.raises(BadConfig, match="num_ranks"):
+        generate(SynthConfig(num_ranks=1, male_cut_centers=()))
     with pytest.raises(BadConfig):
         generate(SynthConfig(samples_per_cell=0))
 
 
 def concatenating_generate(cfg):
     """The per-cell generator that builds each cell as its own array and joins them."""
-    from genage.synth import _BIN_INSET, _bins, _directions
+    from genage.synth import _BIN_INSET, _bins
 
-    g_dir, a_dir = _directions(cfg)
+    g_dir, a_dir = true_directions(cfg)
     lows_m, highs_m = _bins(effective_cuts(cfg)[0])
     lows_f, highs_f = _bins(effective_cuts(cfg)[1])
     rng = np.random.default_rng(cfg.seed)
@@ -144,8 +142,7 @@ def concatenating_generate(cfg):
     SynthConfig(num_ranks=40, male_cut_centers=tuple(np.linspace(-6.0, 6.0, 39)),
                 samples_per_cell=5, seed=3),
     SynthConfig(noise_sigma=0.0, seed=4),
-    SynthConfig(dim=3, num_ranks=2, male_cut_centers=(0.5,), samples_per_cell=1,
-                gender_direction=(1.0, 1.0, 0.0), aging_direction=(0.0, 1.0, 1.0), seed=9),
+    SynthConfig(dim=3, num_ranks=2, male_cut_centers=(0.5,), samples_per_cell=1, seed=9),
 ])
 def test_generate_matches_the_concatenating_version(cfg):
     features, genders, ranks = concatenating_generate(cfg)

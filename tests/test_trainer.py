@@ -13,7 +13,6 @@ from genage import (
     fit,
     fit_many,
     generate,
-    model_objective,
     objective_value,
     predict,
     ordinal_slacks,
@@ -115,12 +114,6 @@ def test_fit_is_deterministic():
     assert a.objective_trace == b.objective_trace
 
 
-def test_record_trace_flag():
-    ds = small_synth()
-    model = fit(ds, TrainConfig(hyper=hyper(), record_trace=False))
-    assert model.objective_trace == ()
-
-
 # ------------------------------------------------------------------- predict
 
 def hand_model():
@@ -162,6 +155,9 @@ def test_direct_rank_is_routing_invariant():
 def test_predict_dimension_check():
     with pytest.raises(DimensionMismatch):
         predict(hand_model(), np.ones(3))
+    for X in (np.ones((4, 3)), np.ones(2)):
+        with pytest.raises(DimensionMismatch):
+            predict_batch(hand_model(), X)
 
 
 def test_predict_batch_rejects_an_override_of_the_wrong_length():
@@ -188,6 +184,9 @@ def test_objective_value_hand_sum():
     ladder = ThresholdLadder([0.0, 0.0])
     value = objective_value(ds, hp, zeros, 0.0, zeros, ladder, ladder)
     assert value == pytest.approx(2.0 * 3 + 3.0 * 4, abs=1e-12)
+    for w_g, w_a in ((np.zeros(3), zeros), (zeros, np.zeros(1))):
+        with pytest.raises(DimensionMismatch):
+            objective_value(ds, hp, w_g, 0.0, w_a, ladder, ladder)
 
 
 def test_orthogonal_directions_zero_the_coupling():
@@ -272,9 +271,9 @@ def test_model_objective_matches_trace_tail():
     hp = hyper(lam3=0.0, variant=Variant.DIRECT)
     model = fit(ds, TrainConfig(hyper=hp))
     # DIRECT forces the coupling weight to zero in its recorded trace
-    assert model_objective(ds, hp.replace(lambda3=0.0), model) == pytest.approx(
-        model.objective_trace[-1], rel=1e-9
-    )
+    value = objective_value(ds, hp.replace(lambda3=0.0), model.w_g, model.b_g, model.w_a,
+                            model.ladder_male, model.ladder_female)
+    assert value == pytest.approx(model.objective_trace[-1], rel=1e-9)
 
 
 # ------------------------------------------------------- shared init solves
