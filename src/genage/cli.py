@@ -14,6 +14,11 @@ are then whatever Python's ``float()`` accepts and age cells whatever
 Blank lines are skipped, and line ends may be LF, CRLF or CR.  The reader
 streams the file in blocks of lines and parses each block a column at a
 time; a malformed line raises ``ParseError`` naming the first bad line.
+The writer formats a block of rows at a time.  An input of more than one
+block, on a host where this process may use more than one CPU, has its
+blocks parsed or formatted by a process pool with one worker per such CPU
+and put back in order, so the bytes written, the arrays read and the
+errors raised are those of the serial path.
 
 Model JSON and report JSON are versioned with a ``schema_version`` field
 and written with sorted keys, so identical invocations produce
@@ -24,6 +29,9 @@ and renamed into place, so a failing command never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import functools
 import itertools
 import json
 import os
@@ -43,7 +51,7 @@ from .core import (
     Variant,
     validate_dataset,
 )
-from .errors import GenAgeError, ParseError
+from .errors import BadConfig, GenAgeError, ParseError
 from .evaluate import cross_validate, hyper_grid, run_experiment
 from .synth import SynthConfig, generate
 from .train import fit, predict_batch
@@ -52,6 +60,12 @@ SCHEMA_VERSION = 1
 _GENDER_TOKENS = {"M": MALE, "F": FEMALE, "+1": MALE, "1": MALE, "-1": FEMALE}
 _MAX_LITERAL_RANK = 100  # age values above this are calendar years
 _BLOCK_LINES = 4096  # CSV lines parsed or formatted at a time
+# how the CSV pool starts its workers.  Linux forks them: their code is
+# string and numpy built-ins, which take no lock another thread of this
+# process could hold across the fork.  A spawned worker re-imports numpy,
+# this package and the caller's main module, about 0.2 s each on a 2-vCPU
+# host, as long as the pool saves on a 100 000-row CSV.
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 # ------------------------------------------------------------------- file io
@@ -68,6 +82,49 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(pool, window, fn, jobs):
+    """``fn(*job)`` for each job, run in ``pool`` with at most ``window`` pending, in job order."""
+    pending = collections.deque()
+    for job in jobs:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, *job))
+    while pending:
+        yield pending.popleft().result()
+
+
+@contextlib.contextmanager
+def _block_runner(blocks):
+    """A ``starmap`` for a job of ``blocks`` blocks: the built-in one for a
+    single block or CPU, else one over a pool with a worker per usable CPU.
+
+    The pool keeps at most two blocks per worker in flight, and is shut down,
+    its workers joined and its unstarted blocks dropped, when the ``with``
+    block ends, however it ends.
+    """
+    workers = _usable_cpus() if blocks > 1 else 1
+    if workers < 2:
+        yield itertools.starmap
+        return
+    # imported here: the modules hold about 1-2 MB that a serial call never needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(_START_METHOD))
+    try:
+        yield functools.partial(_in_order, pool, 2 * workers)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _json_text(payload):
@@ -123,6 +180,14 @@ def _parse_block(lines, number, dim):
     return np.array(features, dtype=float), list(genders), list(ages)
 
 
+def _blocks(handle, size, dim):
+    """``_parse_block`` arguments for each block of ``size`` lines left in ``handle``."""
+    number = 2
+    while lines := list(itertools.islice(handle, size)):
+        yield lines, number, dim
+        number += len(lines)
+
+
 def ingest_csv(path) -> Dataset:
     """Parse a dataset CSV and run the full validation pass."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -134,14 +199,16 @@ def ingest_csv(path) -> Dataset:
         expected = [f"f{i + 1}" for i in range(dim)] + ["gender", "age"]
         if dim < 1 or header != expected:
             raise ParseError(1, f"header must be f1..fd,gender,age; got {','.join(header)}")
+        jobs = _blocks(handle, _BLOCK_LINES, dim)
+        head = list(itertools.islice(jobs, 2))  # a second block sends them to the pool
         blocks, genders, ages = [], [], []
-        number = 2
-        while lines := list(itertools.islice(handle, _BLOCK_LINES)):
-            features, block_genders, block_ages = _parse_block(lines, number, dim)
-            blocks.append(features)
-            genders += block_genders
-            ages += block_ages
-            number += len(lines)
+        with _block_runner(len(head)) as starmap:
+            for features, block_genders, block_ages in starmap(
+                _parse_block, itertools.chain(head, jobs)
+            ):
+                blocks.append(features)
+                genders += block_genders
+                ages += block_ages
     if not genders:
         raise ParseError(2, "no data rows")
     ages = np.asarray(ages)
@@ -165,21 +232,23 @@ def _age_column(ranks, year_map):
     return np.asarray([int(v) for v in year_map])[ranks - 1]
 
 
+def _format_block(features, genders, ages):
+    """The CSV lines of a block of rows, each ending in a line feed."""
+    columns = [map(repr, features[:, j].tolist()) for j in range(features.shape[1])]
+    columns.append(np.where(genders == MALE, "M", "F").tolist())
+    columns.append(map(str, ages.tolist()))
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def export_csv(ds: Dataset, path):
     """Write a dataset in the ingest format; floats keep full precision."""
     header = ",".join([f"f{i + 1}" for i in range(ds.dim)] + ["gender", "age"])
     ages = _age_column(ds.age_rank, ds.rank_to_year)
-
-    def blocks():
-        yield header + "\n"
-        for start in range(0, ds.n, _BLOCK_LINES):
-            rows = slice(start, start + _BLOCK_LINES)
-            columns = [map(repr, ds.features[rows, j].tolist()) for j in range(ds.dim)]
-            columns.append(np.where(ds.gender[rows] == MALE, "M", "F").tolist())
-            columns.append(map(str, ages[rows].tolist()))
-            yield "\n".join(map(",".join, zip(*columns))) + "\n"
-
-    _atomic_write(path, blocks())
+    size = _BLOCK_LINES
+    jobs = ((ds.features[s:s + size], ds.gender[s:s + size], ages[s:s + size])
+            for s in range(0, ds.n, size))
+    with _block_runner(-(-ds.n // size)) as starmap:
+        _atomic_write(path, itertools.chain((header + "\n",), starmap(_format_block, jobs)))
 
 
 def model_to_dict(model: GenAgeModel):
@@ -195,30 +264,59 @@ def model_to_dict(model: GenAgeModel):
     }
 
 
+# the JSON types each field type takes (a bool is no number here), and its name
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), tuple: ((list,), "a list of numbers")}
+
+
+def _json_fields(payload, kinds, error, what):
+    """The fields named in ``kinds`` (name -> int, float, str or tuple) that
+    ``payload`` holds, lists made tuples; ``error`` names the first of the
+    wrong type."""
+    if not isinstance(payload, dict):
+        raise error(f"{what} must be a JSON object")
+    fields = {}
+    for key in (k for k in kinds if k in payload):
+        value, (types, name) = payload[key], _JSON_TYPES[kinds[key]]
+        if type(value) not in types or (
+            kinds[key] is tuple and not all(type(v) in (int, float) for v in value)
+        ):
+            raise error(f"{what} field {key!r} must be {name}, got {value!r}")
+        fields[key] = tuple(value) if kinds[key] is tuple else value
+    return fields
+
+
+_MODEL_FIELDS = {"w_g": tuple, "b_g": float, "w_a": tuple, "ladder_male": tuple,
+                 "ladder_female": tuple, "variant": str, "objective_trace": tuple}
+
+
 def model_from_dict(payload) -> GenAgeModel:
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(payload, dict) and payload.get("schema_version") != SCHEMA_VERSION:
         raise GenAgeError(f"unsupported model schema {payload.get('schema_version')!r}")
+    fields = _json_fields(payload, _MODEL_FIELDS, GenAgeError, "model")
+    missing = _MODEL_FIELDS.keys() - fields.keys() - {"objective_trace"}
+    if missing:
+        raise GenAgeError(f"model lacks the fields {sorted(missing)}")
     return GenAgeModel(
-        w_g=payload["w_g"],
-        b_g=payload["b_g"],
-        w_a=payload["w_a"],
-        ladder_male=ThresholdLadder(payload["ladder_male"]),
-        ladder_female=ThresholdLadder(payload["ladder_female"]),
-        variant=Variant.parse(payload["variant"]),
-        objective_trace=tuple(payload.get("objective_trace", ())),
+        w_g=fields["w_g"],
+        b_g=fields["b_g"],
+        w_a=fields["w_a"],
+        ladder_male=ThresholdLadder(fields["ladder_male"]),
+        ladder_female=ThresholdLadder(fields["ladder_female"]),
+        variant=Variant.parse(fields["variant"]),
+        objective_trace=fields.get("objective_trace", ()),
     )
 
 
 def _load_synth_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    fields = set(SynthConfig.__dataclass_fields__)
-    unknown = set(payload) - fields
+    kinds = {name: type(f.default) for name, f in SynthConfig.__dataclass_fields__.items()}
+    fields = _json_fields(payload, kinds, BadConfig, "synth config")
+    unknown = payload.keys() - kinds.keys()
     if unknown:
         raise GenAgeError(f"unknown synth config keys: {sorted(unknown)}")
-    if payload.get("male_cut_centers") is not None:
-        payload["male_cut_centers"] = tuple(payload["male_cut_centers"])
-    return SynthConfig(**payload)
+    return SynthConfig(**fields)
 
 
 def _resolve_seed(args, default=0):
@@ -281,7 +379,8 @@ def _cmd_predict(args):
     with open(args.model, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     model = model_from_dict(payload)
-    year_map = payload.get("rank_to_year")
+    fields = _json_fields(payload, {"rank_to_year": tuple}, GenAgeError, "model")
+    year_map = fields.get("rank_to_year")
     if year_map is not None and len(year_map) != model.num_ranks:
         raise GenAgeError(f"model year map has {len(year_map)} entries for {model.num_ranks} ranks")
     ds = ingest_csv(args.data)

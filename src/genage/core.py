@@ -12,6 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import (
     BadGenderLabel,
     DimensionMismatch,
+    InsufficientRanks,
     LadderOrderError,
     NonFiniteFeature,
     RankOutOfRange,
@@ -89,7 +92,7 @@ class Dataset:
         if num_ranks is None:
             num_ranks = int(age_rank.max()) if age_rank.size else 2
         if num_ranks < 2:
-            raise RankOutOfRange(0, num_ranks, "declared num_ranks must be >= 2")
+            raise InsufficientRanks(f"num_ranks must be at least 2, got {num_ranks}")
         for arr in (features, gender, age_rank):
             arr.setflags(write=False)
         self.features, self.gender, self.age_rank = features, gender, age_rank
@@ -207,12 +210,12 @@ class HyperParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ValueError("all trade-off weights must be nonnegative")
-        if self.t_max < 1:
+        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
+            raise ValueError("all trade-off weights must be finite and nonnegative")
+        if not isinstance(self.t_max, numbers.Integral) or self.t_max < 1:
             raise ValueError("t_max must be a positive integer")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 
     def replace(self, **changes):

@@ -1,8 +1,19 @@
 """Domain exception types shared across the package."""
 
+import copyreg
+
 
 class GenAgeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Every subclass pickles to the same type, message and attributes, so an
+    error raised in a worker process reaches its parent intact.
+    """
+
+    def __reduce__(self):
+        # ``args`` holds the message, not the arguments of a subclass's
+        # constructor, so the copy is made without calling the constructor
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DimensionMismatch(GenAgeError):
@@ -46,7 +57,8 @@ class SingleClassInput(GenAgeError):
 
 
 class InsufficientRanks(GenAgeError):
-    """The ordinal solver needs at least two distinct populated ranks."""
+    """Fewer than two ranks: a dataset declares K < 2, or the ordinal solver
+    finds fewer than two distinct populated ranks."""
 
 
 class DegenerateGender(GenAgeError):

@@ -359,3 +359,56 @@ def test_failing_chunks_leave_no_file(tmp_path):
     with pytest.raises(RuntimeError, match="chunk failed"):
         _atomic_write(str(target), chunks())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"male_cut_centers": 5}, "male_cut_centers"),
+    ({"dim": "x"}, "dim"),
+    ({"dim": 2.5}, "dim"),
+    ({"discrepancy": None}, "discrepancy"),
+])
+def test_mistyped_synth_config_value_is_reported(tmp_path, capsys, payload, key):
+    bad = write(tmp_path / "bad.json", json.dumps(payload))
+    code = main(["generate", "--config", bad, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("genage: error: synth config field") and repr(key) in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.pop("ladder_male"), "model lacks the fields ['ladder_male']"),
+    (lambda payload: payload.update(w_g=None),
+     "model field 'w_g' must be a list of numbers, got None"),
+    (lambda payload: payload.update(rank_to_year=5),
+     "model field 'rank_to_year' must be a list of numbers, got 5"),
+])
+def test_predict_names_a_missing_or_malformed_model_field(tmp_path, capsys, edit, message):
+    ladder = ThresholdLadder([0.0])
+    payload = model_to_dict(GenAgeModel(w_g=[1.0], b_g=0.0, w_a=[1.0], ladder_male=ladder,
+                                        ladder_female=ladder, variant=Variant.TT))
+    edit(payload)
+    model_path = write(tmp_path / "model.json", json.dumps(payload))
+    data = write(tmp_path / "d.csv", "f1,gender,age\n0.5,M,1\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", model_path, "--data", data, "--out", str(out)]) == 1
+    assert f"genage: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--lambda3", "--tol"])
+def test_fit_rejects_non_finite_weights_before_any_solve(tmp_path, capsys, monkeypatch, flag):
+    import genage.cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit was called")
+
+    monkeypatch.setattr(genage.cli, "fit", no_fit)
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", synth_json(tmp_path, samples_per_cell=2),
+                 "--out", str(data)]) == 0
+    out = tmp_path / "model.json"
+    for value in ("nan", "inf"):
+        assert main(["fit", "--data", str(data), flag, value, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -14,6 +14,7 @@ from genage import (
 from genage.errors import (
     BadGenderLabel,
     DimensionMismatch,
+    InsufficientRanks,
     LadderOrderError,
     NonFiniteFeature,
     RankOutOfRange,
@@ -116,6 +117,19 @@ def test_hyperparams_validation():
         HyperParams(t_max=0)
     with pytest.raises(ValueError):
         HyperParams(tol=0.0)
+    for field, value in (("lambda1", float("nan")), ("lambda2", float("inf")),
+                         ("lambda3", float("nan")), ("t_max", 2.5), ("t_max", 2.0),
+                         ("tol", float("nan")), ("tol", float("inf"))):
+        with pytest.raises(ValueError):
+            HyperParams(**{field: value})
+
+
+@pytest.mark.parametrize("declared", [1, None])
+def test_fewer_than_two_ranks_names_k_and_no_sample(declared):
+    # without a declaration K is the largest rank, 1 here
+    with pytest.raises(InsufficientRanks, match="num_ranks must be at least 2, got 1") as err:
+        Dataset([[0.0]], [1], [1], num_ranks=declared)
+    assert not hasattr(err.value, "index")
 
 
 def test_variant_parsing():

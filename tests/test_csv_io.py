@@ -6,7 +6,11 @@ equal with bit-identical features, output files byte-identical, and every
 ``ParseError`` must carry the same line and message.
 """
 
+import concurrent.futures
+import errno
 import json
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -282,3 +286,136 @@ def test_predict_output_matches_the_row_writer(tmp_path):
                      "--out", str(out)]) == 0
         genders, ranks = predict_batch(cli.model_from_dict(payload), big.features)
         assert out.read_bytes() == reference_predict_text(genders, ranks, year_map).encode("utf-8")
+
+
+# ------------------------------------------------------------------ the pool
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Claim three usable CPUs, so inputs of more than one block go to a pool
+    even on a one-CPU host, and record the worker count of each pool made."""
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
+
+
+def assert_no_worker_or_file_left(directory, *kept):
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in directory.iterdir()) == sorted(kept)
+
+
+def block_dataset(n, years):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    X[:, 0] = -X[:, 0]
+    ranks = np.arange(n) % 5 + 1
+    return Dataset(X, np.where(np.arange(n) % 3 == 0, 1, -1), ranks, num_ranks=5,
+                   rank_to_year=(1961, 1975, 1990, 2004, 2011) if years else None)
+
+
+@pytest.mark.parametrize("years", [False, True], ids=["ranks", "years"])
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_pooled_export_matches_the_row_writer(tmp_path, pools, n, years):
+    ds = block_dataset(n, years)
+    path = tmp_path / "out.csv"
+    export_csv(ds, str(path))
+    assert path.read_bytes() == reference_export_text(ds).encode("utf-8")
+    assert pools == ([3] if n > BLOCK else [])
+    assert_no_worker_or_file_left(tmp_path, "out.csv")
+
+
+def bad_block_text(kind, position):
+    lines = ["f1,f2,gender,age"] + [GOOD] * (3 * BLOCK + 17)
+    lines[position] = BAD_ROWS[kind]
+    lines[position + 5] = BAD_ROWS["feature"]  # a later error must not be the one reported
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+@pytest.mark.parametrize("position", [BLOCK + 1, 2 * BLOCK + 9])
+def test_pooled_reader_names_the_first_bad_line_of_a_later_block(tmp_path, pools, kind, position):
+    path = write_bytes(tmp_path / "d.csv", bad_block_text(kind, position))
+    got = outcome(ingest_csv, path)
+    assert got == outcome(reference_ingest, path)
+    assert got[1] == position + 1
+    assert pools == [3]
+    assert_no_worker_or_file_left(tmp_path, "d.csv")
+
+
+def test_pooled_reader_matches_the_row_parser(tmp_path, pools):
+    export_csv(block_dataset(3 * BLOCK + 17, years=True), str(tmp_path / "d.csv"))
+    assert pools == [3]
+    ds = assert_same_reading(str(tmp_path / "d.csv"))
+    assert ds.n == 3 * BLOCK + 17 and pools == [3, 3]
+    assert_no_worker_or_file_left(tmp_path, "d.csv")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_files(), block=st.integers(1, 7))
+def test_pooled_small_blocks_match_the_row_parser(tmp_path, pools, text, block):
+    path = write_bytes(tmp_path / "d.csv", text)
+    with mock.patch.object(cli, "_BLOCK_LINES", block):
+        assert_same_reading(path)
+    assert multiprocessing.active_children() == []
+
+
+def test_spawned_workers_need_only_their_arguments(tmp_path, pools, monkeypatch):
+    # a spawned worker imports the package afresh, so it sees none of the
+    # parent's patches: the block size here is the parent's alone
+    monkeypatch.setattr(cli, "_START_METHOD", "spawn")
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 50)
+    ds = block_dataset(170, years=False)
+    path = tmp_path / "d.csv"
+    export_csv(ds, str(path))
+    assert path.read_bytes() == reference_export_text(ds).encode("utf-8")
+    assert assert_same_reading(str(path)) == ds
+    assert pools == [3, 3]
+    assert_no_worker_or_file_left(tmp_path, "d.csv")
+
+
+def failing_format(features, genders, ages, format_block=cli._format_block):
+    if len(features) < BLOCK:  # the last block
+        raise RuntimeError("format failed")
+    return format_block(features, genders, ages)
+
+
+def test_failed_pooled_export_leaves_no_worker_and_no_file(tmp_path, pools, monkeypatch):
+    ds = block_dataset(3 * BLOCK + 17, years=False)
+    target = tmp_path / "out.csv"
+    with mock.patch.object(cli, "_format_block", failing_format):
+        with pytest.raises(RuntimeError, match="format failed"):
+            export_csv(ds, str(target))
+    assert_no_worker_or_file_left(tmp_path)
+
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        """A file whose disk fills after two chunks."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def writelines(self, chunks):
+            for i, chunk in enumerate(chunks):
+                if i == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.handle.write(chunk)
+
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: FullDisk(real_fdopen(*args, **kwargs)))
+    with pytest.raises(OSError, match="No space left"):
+        export_csv(ds, str(target))
+    assert pools == [3, 3]
+    assert_no_worker_or_file_left(tmp_path)
