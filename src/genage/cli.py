@@ -14,11 +14,11 @@ are then whatever Python's ``float()`` accepts and age cells whatever
 Blank lines are skipped, and line ends may be LF, CRLF or CR.  The reader
 streams the file in blocks of lines and parses each block a column at a
 time; a malformed line raises ``ParseError`` naming the first bad line.
-The writer formats a block of rows at a time.  An input of more than one
-block, on a host where this process may use more than one CPU, has its
-blocks parsed or formatted by a process pool with one worker per such CPU
-and put back in order, so the bytes written, the arrays read and the
-errors raised are those of the serial path.
+The writer formats a block of rows at a time.  On Linux, an input of more
+than one block, on a host where this process may use more than one CPU, has
+its blocks parsed or formatted by a process pool with a worker per block, up
+to one per such CPU, and put back in order, so the bytes written, the arrays
+read and the errors raised are those of the serial path.
 
 Model JSON and report JSON are versioned with a ``schema_version`` field
 and written with sorted keys, so identical invocations produce
@@ -60,12 +60,6 @@ SCHEMA_VERSION = 1
 _GENDER_TOKENS = {"M": MALE, "F": FEMALE, "+1": MALE, "1": MALE, "-1": FEMALE}
 _MAX_LITERAL_RANK = 100  # age values above this are calendar years
 _BLOCK_LINES = 4096  # CSV lines parsed or formatted at a time
-# how the CSV pool starts its workers.  Linux forks them: their code is
-# string and numpy built-ins, which take no lock another thread of this
-# process could hold across the fork.  A spawned worker re-imports numpy,
-# this package and the caller's main module, about 0.2 s each on a 2-vCPU
-# host, as long as the pool saves on a 100 000-row CSV.
-_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 # ------------------------------------------------------------------- file io
@@ -105,14 +99,19 @@ def _in_order(pool, window, fn, jobs):
 
 @contextlib.contextmanager
 def _block_runner(blocks):
-    """A ``starmap`` for a job of ``blocks`` blocks: the built-in one for a
-    single block or CPU, else one over a pool with a worker per usable CPU.
+    """A ``starmap`` for a job of about ``blocks`` blocks: the built-in one
+    for a single block or CPU or off Linux, else one over a pool with a
+    worker per block, up to the usable CPUs.
 
     The pool keeps at most two blocks per worker in flight, and is shut down,
     its workers joined and its unstarted blocks dropped, when the ``with``
     block ends, however it ends.
     """
-    workers = _usable_cpus() if blocks > 1 else 1
+    # only Linux forks the workers, whose code is string and numpy built-ins
+    # that take no lock another thread of this process could hold across the
+    # fork.  Elsewhere they would be spawned: each re-imports numpy, this
+    # package and the caller's main module, which re-runs an unguarded script.
+    workers = min(_usable_cpus(), blocks) if sys.platform == "linux" else 1
     if workers < 2:
         yield itertools.starmap
         return
@@ -120,7 +119,7 @@ def _block_runner(blocks):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(_START_METHOD))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield functools.partial(_in_order, pool, 2 * workers)
     finally:
@@ -201,8 +200,11 @@ def ingest_csv(path) -> Dataset:
             raise ParseError(1, f"header must be f1..fd,gender,age; got {','.join(header)}")
         jobs = _blocks(handle, _BLOCK_LINES, dim)
         head = list(itertools.islice(jobs, 2))  # a second block sends them to the pool
+        count = len(head)
+        if count > 1:  # estimated from the file's size and the first block's
+            count = max(2, -(-os.fstat(handle.fileno()).st_size // sum(map(len, head[0][0]))))
         blocks, genders, ages = [], [], []
-        with _block_runner(len(head)) as starmap:
+        with _block_runner(count) as starmap:
             for features, block_genders, block_ages in starmap(
                 _parse_block, itertools.chain(head, jobs)
             ):

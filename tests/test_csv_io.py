@@ -11,6 +11,7 @@ import errno
 import json
 import multiprocessing
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -294,6 +295,8 @@ def test_predict_output_matches_the_row_writer(tmp_path):
 def pools(monkeypatch):
     """Claim three usable CPUs, so inputs of more than one block go to a pool
     even on a one-CPU host, and record the worker count of each pool made."""
+    if sys.platform != "linux":
+        pytest.skip("the CSV pool runs on Linux only")
     made = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -327,8 +330,17 @@ def test_pooled_export_matches_the_row_writer(tmp_path, pools, n, years):
     path = tmp_path / "out.csv"
     export_csv(ds, str(path))
     assert path.read_bytes() == reference_export_text(ds).encode("utf-8")
-    assert pools == ([3] if n > BLOCK else [])
+    assert pools == ([min(3, -(-n // BLOCK))] if n > BLOCK else [])
     assert_no_worker_or_file_left(tmp_path, "out.csv")
+
+
+def test_pool_has_no_more_workers_than_blocks(tmp_path, pools, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    ds = block_dataset(BLOCK + 1, years=False)
+    export_csv(ds, str(tmp_path / "d.csv"))
+    assert assert_same_reading(str(tmp_path / "d.csv")) == ds
+    assert pools == [2, 2]
+    assert_no_worker_or_file_left(tmp_path, "d.csv")
 
 
 def bad_block_text(kind, position):
@@ -366,18 +378,17 @@ def test_pooled_small_blocks_match_the_row_parser(tmp_path, pools, text, block):
     assert multiprocessing.active_children() == []
 
 
-def test_spawned_workers_need_only_their_arguments(tmp_path, pools, monkeypatch):
-    # a spawned worker imports the package afresh, so it sees none of the
-    # parent's patches: the block size here is the parent's alone
-    monkeypatch.setattr(cli, "_START_METHOD", "spawn")
-    monkeypatch.setattr(cli, "_BLOCK_LINES", 50)
-    ds = block_dataset(170, years=False)
-    path = tmp_path / "d.csv"
-    export_csv(ds, str(path))
-    assert path.read_bytes() == reference_export_text(ds).encode("utf-8")
-    assert assert_same_reading(str(path)) == ds
-    assert pools == [3, 3]
-    assert_no_worker_or_file_left(tmp_path, "d.csv")
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_other_platforms_read_and_write_serially(tmp_path, monkeypatch, platform):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sys, "platform", platform)
+    with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
+        ds = block_dataset(3 * BLOCK + 17, years=False)
+        path = tmp_path / "d.csv"
+        export_csv(ds, str(path))
+        assert path.read_bytes() == reference_export_text(ds).encode("utf-8")
+        assert assert_same_reading(str(path)) == ds
+    pool.assert_not_called()
 
 
 def failing_format(features, genders, ages, format_block=cli._format_block):
