@@ -271,6 +271,17 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), tuple: ((list,), "a list of numbers")}
 
 
+def _is_number(value):
+    """Whether ``value`` is a JSON number that a float can hold (an integer may be too large)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _json_fields(payload, kinds, error, what):
     """The fields named in ``kinds`` (name -> int, float, str or tuple) that
     ``payload`` holds, lists made tuples; ``error`` names the first of the
@@ -280,9 +291,8 @@ def _json_fields(payload, kinds, error, what):
     fields = {}
     for key in (k for k in kinds if k in payload):
         value, (types, name) = payload[key], _JSON_TYPES[kinds[key]]
-        if type(value) not in types or (
-            kinds[key] is tuple and not all(type(v) in (int, float) for v in value)
-        ):
+        numbers = {float: (value,), tuple: value}.get(kinds[key], ())
+        if type(value) not in types or not all(map(_is_number, numbers)):
             raise error(f"{what} field {key!r} must be {name}, got {value!r}")
         fields[key] = tuple(value) if kinds[key] is tuple else value
     return fields
@@ -383,13 +393,22 @@ def _cmd_predict(args):
     model = model_from_dict(payload)
     fields = _json_fields(payload, {"rank_to_year": tuple}, GenAgeError, "model")
     year_map = fields.get("rank_to_year")
-    if year_map is not None and len(year_map) != model.num_ranks:
-        raise GenAgeError(f"model year map has {len(year_map)} entries for {model.num_ranks} ranks")
+    if year_map is not None:
+        if not (all(type(v) is int for v in year_map)
+                and all(map(int.__lt__, year_map, year_map[1:]))):
+            raise GenAgeError(f"model field 'rank_to_year' must be a list of increasing "
+                              f"integers, got {list(year_map)!r}")
+        if len(year_map) != model.num_ranks:
+            raise GenAgeError(f"model year map has {len(year_map)} entries for "
+                              f"{model.num_ranks} ranks")
     ds = ingest_csv(args.data)
     genders, ranks = predict_batch(model, ds.features)
-    rows = map(str.__add__, np.where(genders == MALE, "M,", "F,").tolist(),
-               map(str, _age_column(ranks, year_map).tolist()))
-    _atomic_write(args.out, ("gender,age\n", "\n".join(rows), "\n"))
+    # the 2K lines a row can be, female ranks first: row i is line
+    # (gender is male) * K + rank - 1
+    K = model.num_ranks
+    lines = [f"{sex},{age}\n" for sex in "FM" for age in (year_map or range(1, K + 1))]
+    index = np.where(genders == MALE, K - 1, -1) + ranks
+    _atomic_write(args.out, ("gender,age\n", "".join(map(lines.__getitem__, index.tolist()))))
     return 0
 
 

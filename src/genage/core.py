@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BadGenderLabel,
     DimensionMismatch,
+    GenAgeError,
     InsufficientRanks,
     LadderOrderError,
     NonFiniteFeature,
@@ -238,6 +239,7 @@ class GenAgeModel:
     For the DIRECT and ST variants both ladder fields hold the same shared
     ladder. ``objective_trace`` records the full joint objective after
     initialization and after each half-step of the alternating solver.
+    The weights and the bias must be finite.
     """
 
     w_g: np.ndarray
@@ -251,6 +253,11 @@ class GenAgeModel:
     def __post_init__(self):
         w_g = _frozen_array(np.atleast_1d(self.w_g))
         w_a = _frozen_array(np.atleast_1d(self.w_a))
+        b_g = float(self.b_g)
+        for name, finite in (("w_g", np.isfinite(w_g).all()), ("b_g", math.isfinite(b_g)),
+                             ("w_a", np.isfinite(w_a).all())):
+            if not finite:
+                raise GenAgeError(f"model field {name!r} must be finite")
         if w_g.shape != w_a.shape:
             raise DimensionMismatch("w_g and w_a must share a dimension")
         if self.ladder_male.num_ranks != self.ladder_female.num_ranks:
@@ -262,9 +269,14 @@ class GenAgeModel:
             raise LadderOrderError(f"variant {variant.value} requires one shared ladder")
         object.__setattr__(self, "w_g", w_g)
         object.__setattr__(self, "w_a", w_a)
-        object.__setattr__(self, "b_g", float(self.b_g))
+        object.__setattr__(self, "b_g", b_g)
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "objective_trace", tuple(float(v) for v in self.objective_trace))
+        # the decision rule in the form that decides one sample fastest: both
+        # directions in one matrix, the bias and both ladders as Python floats
+        object.__setattr__(self, "_rule", (_frozen_array(np.stack([w_g, w_a])), b_g,
+                                           tuple(self.ladder_male.cuts.tolist()),
+                                           tuple(self.ladder_female.cuts.tolist())))
 
     @property
     def dim(self):

@@ -13,6 +13,7 @@ second output rounded and clamped into 1..K (rank).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,12 +141,11 @@ def pls_outputs(model: PlsModel, X):
 
 
 def _decode(gender_score, rank_score, num_ranks):
-    """(gender, rank) from the two outputs, as floats for one sample or arrays for many.
+    """(genders, ranks) from the two output columns of many samples.
 
     The gender is the sign of its score, 0 counting as male.  The rank is
     rounded half to even into 1..K; clamping before rounding gives the same
-    integers, since both bounds are integers.  Ranks stay floats, so each
-    caller picks its integer conversion.
+    integers, since both bounds are integers.  Ranks stay floats.
     """
     gender = FEMALE + (MALE - FEMALE) * (gender_score >= 0.0)
     rank = np.rint(np.minimum(np.maximum(rank_score, 1.0), float(num_ranks)))
@@ -153,17 +153,32 @@ def _decode(gender_score, rank_score, num_ranks):
 
 
 def predict_pls(model: PlsModel, x):
-    """Decode one sample to (gender, rank); sign(0) counts as male."""
+    """Decode one sample to (gender, rank) by :func:`_decode`'s rule; a sample
+    whose outputs are not finite raises :class:`NonFiniteFeature`."""
     x = np.asarray(x, dtype=float)
     if x.shape != model.x_mean.shape:
         raise DimensionMismatch(f"x has shape {x.shape}, expected {model.x_mean.shape}")
     # numpy calls on one sample cost more than the arithmetic, so the decoding
-    # runs on Python floats here
-    gender, rank = _decode(*pls_outputs(model, x).tolist(), model.num_ranks)
-    return gender, int(rank)
+    # runs on Python floats here; round() rounds half to even, as np.rint does
+    try:
+        gender_score, rank_score = pls_outputs(model, x).tolist()
+    except (RuntimeWarning, FloatingPointError):
+        # numpy's report of an inf * 0 or an overflow, where it is made an error
+        gender_score = rank_score = math.nan
+    if not (math.isfinite(gender_score) and math.isfinite(rank_score)):
+        raise NonFiniteFeature(0, "x has a non-finite feature or output")
+    gender = MALE if gender_score >= 0.0 else FEMALE
+    return gender, round(min(max(rank_score, 1.0), float(model.num_ranks)))
 
 
 def predict_pls_batch(model: PlsModel, X):
-    raw = pls_outputs(model, X)
+    """Decode each row of ``X`` to (genders, ranks) arrays; the first row
+    whose outputs are not finite raises :class:`NonFiniteFeature`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output raises below
+        raw = pls_outputs(model, X)
+    finite = np.isfinite(raw).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteFeature(i, f"sample {i} has a non-finite feature or output")
     genders, ranks = _decode(raw[:, 0], raw[:, 1], model.num_ranks)
     return genders, ranks.astype(int)

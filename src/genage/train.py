@@ -21,10 +21,13 @@ trace is non-increasing by construction.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, ThresholdLadder, TrainConfig, Variant
-from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch
+from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch, NonFiniteFeature
 from .svm import solve_svm, svm_objective
 from .svor import predict_ranks, solve_svor, svor_objective
 
@@ -160,14 +163,29 @@ def predict(model: GenAgeModel, x):
 
     The rank is read off the ladder of the *predicted* gender, mirroring
     deployment where the true gender is unknown.  For shared-ladder variants
-    the routing is irrelevant since both ladders coincide.
+    the routing is irrelevant since both ladders coincide.  A sample whose
+    scores are not finite raises :class:`NonFiniteFeature`.
+
+    This is :func:`predict_batch`'s rule on one row, run on the model's
+    precomputed Python floats: numpy calls on one sample cost more than the
+    arithmetic.  ``bisect_right`` counts the cuts at or below the score, as
+    ``searchsorted(side="right")`` does.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({model.dim},)")
-    gender = MALE if float(model.w_g @ x + model.b_g) >= 0.0 else FEMALE
-    ladder = model.ladder_male if gender == MALE else model.ladder_female
-    return gender, int(predict_ranks(model.w_a @ x, ladder))
+    weights, b_g, cuts_male, cuts_female = model._rule
+    try:
+        gender_score, age_score = weights.dot(x).tolist()
+    except (RuntimeWarning, FloatingPointError):
+        # numpy's report of an inf * 0 or an overflow, where it is made an error
+        gender_score = age_score = math.nan
+    gender_score += b_g
+    if not (math.isfinite(gender_score) and math.isfinite(age_score)):
+        raise NonFiniteFeature(0, "x has a non-finite feature or score")
+    if gender_score >= 0.0:
+        return MALE, bisect.bisect_right(cuts_male, age_score) + 1
+    return FEMALE, bisect.bisect_right(cuts_female, age_score) + 1
 
 
 def predict_batch(model: GenAgeModel, X, gender_override=None):
@@ -175,12 +193,21 @@ def predict_batch(model: GenAgeModel, X, gender_override=None):
 
     ``gender_override`` routes each sample to the ladder of the given labels
     instead of the predicted ones (the oracle-routing diagnostic); it must
-    hold one +1 or -1 per row of ``X``.
+    hold one +1 or -1 per row of ``X``.  The first row whose scores are not
+    finite raises :class:`NonFiniteFeature`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise DimensionMismatch(f"X has shape {X.shape}, expected (n, {model.dim})")
-    genders = np.where(X @ model.w_g + model.b_g >= 0.0, MALE, FEMALE)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+        gender_scores = X @ model.w_g + model.b_g
+        scores = X @ model.w_a
+    finite = np.isfinite(gender_scores) & np.isfinite(scores)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteFeature(i, f"sample {i} has a non-finite feature or score")
+    genders = np.where(gender_scores >= 0.0, MALE, FEMALE)
+    del gender_scores, finite  # freed before the rank lookup, which holds the most memory
     routing = genders
     if gender_override is not None:
         routing = np.asarray(gender_override)
@@ -190,7 +217,6 @@ def predict_batch(model: GenAgeModel, X, gender_override=None):
         if not known.all():
             i = int(np.argmin(known))
             raise BadGenderLabel(i, routing[i].item())
-    scores = X @ model.w_a
     ranks = np.empty(X.shape[0], dtype=int)
     male = routing == MALE
     ranks[male] = predict_ranks(scores[male], model.ladder_male)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from genage import GenAgeModel, SynthConfig, ThresholdLadder, Variant, generate
 from genage.cli import _atomic_write, export_csv, ingest_csv, main, model_from_dict, model_to_dict
@@ -382,6 +384,16 @@ def test_mistyped_synth_config_value_is_reported(tmp_path, capsys, payload, key)
      "model field 'w_g' must be a list of numbers, got None"),
     (lambda payload: payload.update(rank_to_year=5),
      "model field 'rank_to_year' must be a list of numbers, got 5"),
+    (lambda payload: payload.update(w_g=[float("nan")]), "model field 'w_g' must be finite"),
+    (lambda payload: payload.update(b_g=float("inf")), "model field 'b_g' must be finite"),
+    (lambda payload: payload.update(w_a=[-float("inf")]), "model field 'w_a' must be finite"),
+    *[(lambda payload, years=years: payload.update(rank_to_year=years),
+       "model field 'rank_to_year' must be a list of increasing integers")
+      for years in ([1981.5, 1990], [1990.0, 1991.0], [1990, 1981], [1981, 1981])],
+    (lambda payload: payload.update(w_g=[10**400]), "model field 'w_g' must be a list of numbers"),
+    (lambda payload: payload.update(b_g=-10**400), "model field 'b_g' must be a number"),
+    (lambda payload: payload.update(ladder_male=[10**400]),
+     "model field 'ladder_male' must be a list of numbers"),
 ])
 def test_predict_names_a_missing_or_malformed_model_field(tmp_path, capsys, edit, message):
     ladder = ThresholdLadder([0.0])
@@ -394,6 +406,55 @@ def test_predict_names_a_missing_or_malformed_model_field(tmp_path, capsys, edit
     assert main(["predict", "--model", model_path, "--data", data, "--out", str(out)]) == 1
     assert f"genage: error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+json_scalars = st.one_of(
+    st.floats(), st.integers(-3, 3), st.integers(-10**400, 10**400), st.none(), st.booleans(),
+    st.sampled_from(["tt", "st", "direct", "2step", "TT ", "x", ""]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=6,
+)
+good_rows = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.sampled_from(["M", "F", "+1", "-1"]),
+                      st.integers(1, 5)).map(lambda row: ",".join(map(str, row)))
+bad_rows = st.lists(st.one_of(st.sampled_from(["0.5", "1e308", "-1e308", "nan", "inf", "M", "F", "3",
+                                               "1990", "", " ", "x", "1.5"]),
+                              st.text(alphabet="0123456789.,-+eEMF \t", max_size=6)),
+                    min_size=2, max_size=5).map(",".join)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_predict_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, capsys, data):
+    payload = {"schema_version": 1, "variant": "tt", "w_g": [1.0, -0.5], "b_g": 0.25, "w_a": [0.25, 1.0],
+               "ladder_male": [-1.0, 0.0, 1.0], "ladder_female": [-0.5, 0.5, 2.0],
+               "objective_trace": [3.0, 2.0], "rank_to_year": [1970, 1980, 1990, 2000]}
+    for _ in range(data.draw(st.integers(0, 2))):
+        key = data.draw(st.sampled_from(sorted(payload)))
+        how = data.draw(st.sampled_from(["drop", "replace", "item"]))
+        if how == "drop":
+            payload.pop(key, None)
+        elif how == "item" and isinstance(payload.get(key), list) and payload[key]:
+            payload[key][data.draw(st.integers(0, len(payload[key]) - 1))] = data.draw(json_scalars)
+        else:
+            payload[key] = data.draw(json_values)
+    rows = data.draw(st.lists(good_rows, min_size=1, max_size=6))
+    for _ in range(data.draw(st.integers(0, 1))):
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(bad_rows)
+    model_path = write(tmp_path / "model.json", json.dumps(payload))
+    data_path = write(tmp_path / "d.csv", "\n".join(["f1,f2,gender,age"] + rows) + "\n")
+    out = tmp_path / "pred.csv"
+    out.unlink(missing_ok=True)
+    code = main(["predict", "--model", model_path, "--data", data_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and out.read_text(encoding="utf-8").count("\n") == 1 + len(rows)
+    else:
+        assert code == 1 and err.startswith("genage: error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--lambda3", "--tol"])

@@ -14,6 +14,7 @@ from genage import (
 from genage.errors import (
     BadGenderLabel,
     DimensionMismatch,
+    GenAgeError,
     InsufficientRanks,
     LadderOrderError,
     NonFiniteFeature,
@@ -172,3 +173,13 @@ def test_model_rejects_mismatched_shapes():
         GenAgeModel(w_g=[1.0], b_g=0.0, w_a=[1.0],
                     ladder_male=ladder, ladder_female=ThresholdLadder([0.0, 1.0]),
                     variant=Variant.TT)
+
+
+@pytest.mark.parametrize("field", ["w_g", "b_g", "w_a"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_weights(field, bad):
+    ladder = ThresholdLadder([0.0])
+    values = {"w_g": [1.0, 0.0], "b_g": 0.0, "w_a": [0.0, 1.0]}
+    values[field] = bad if field == "b_g" else [1.0, bad]
+    with pytest.raises(GenAgeError, match=f"model field '{field}' must be finite"):
+        GenAgeModel(**values, ladder_male=ladder, ladder_female=ladder, variant=Variant.TT)
