@@ -53,7 +53,7 @@ from .core import (
 )
 from .errors import BadConfig, GenAgeError, ParseError
 from .evaluate import cross_validate, hyper_grid, run_experiment
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, _is_real, generate
 from .train import fit, predict_batch
 
 SCHEMA_VERSION = 1
@@ -187,8 +187,8 @@ def _blocks(handle, size, dim):
         number += len(lines)
 
 
-def ingest_csv(path) -> Dataset:
-    """Parse a dataset CSV and run the full validation pass."""
+def _read_csv(path):
+    """Parse a dataset CSV: its features, gender labels and ages, one per data row."""
     with open(path, "r", encoding="utf-8") as handle:
         first = next(handle, "")
         if not first.strip():
@@ -213,7 +213,12 @@ def ingest_csv(path) -> Dataset:
                 ages += block_ages
     if not genders:
         raise ParseError(2, "no data rows")
-    ages = np.asarray(ages)
+    return np.concatenate(blocks), genders, np.asarray(ages)
+
+
+def ingest_csv(path) -> Dataset:
+    """Parse a dataset CSV and run the full validation pass."""
+    features, genders, ages = _read_csv(path)
     unique = np.unique(ages)
     if unique[0] >= 1 and unique[-1] <= _MAX_LITERAL_RANK:
         # small positive integers are taken as ranks verbatim (sparse ranks
@@ -222,9 +227,7 @@ def ingest_csv(path) -> Dataset:
     else:
         ranks = np.searchsorted(unique, ages) + 1
         year_map = tuple(int(v) for v in unique)
-    return validate_dataset(
-        Dataset._adopt(np.concatenate(blocks), genders, ranks, rank_to_year=year_map)
-    )
+    return validate_dataset(Dataset._adopt(features, genders, ranks, rank_to_year=year_map))
 
 
 def _age_column(ranks, year_map):
@@ -266,34 +269,23 @@ def model_to_dict(model: GenAgeModel):
     }
 
 
-# the JSON types each field type takes (a bool is no number here), and its name
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"), tuple: ((list,), "a list of numbers")}
+# the JSON types each model field type takes (a bool is no number here), and its name
+_JSON_TYPES = {float: ((int, float), "a number"), str: ((str,), "a string"),
+               tuple: ((list,), "a list of numbers")}
 
 
-def _is_number(value):
-    """Whether ``value`` is a JSON number that a float can hold (an integer may be too large)."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def _json_fields(payload, kinds, error, what):
-    """The fields named in ``kinds`` (name -> int, float, str or tuple) that
-    ``payload`` holds, lists made tuples; ``error`` names the first of the
-    wrong type."""
+def _json_fields(payload, kinds):
+    """The model fields named in ``kinds`` (name -> float, str or tuple) that
+    ``payload`` holds, lists made tuples; a ``GenAgeError`` names the first of
+    the wrong type."""
     if not isinstance(payload, dict):
-        raise error(f"{what} must be a JSON object")
+        raise GenAgeError("model must be a JSON object")
     fields = {}
     for key in (k for k in kinds if k in payload):
         value, (types, name) = payload[key], _JSON_TYPES[kinds[key]]
         numbers = {float: (value,), tuple: value}.get(kinds[key], ())
-        if type(value) not in types or not all(map(_is_number, numbers)):
-            raise error(f"{what} field {key!r} must be {name}, got {value!r}")
+        if type(value) not in types or not all(map(_is_real, numbers)):
+            raise GenAgeError(f"model field {key!r} must be {name}, got {value!r}")
         fields[key] = tuple(value) if kinds[key] is tuple else value
     return fields
 
@@ -305,7 +297,7 @@ _MODEL_FIELDS = {"w_g": tuple, "b_g": float, "w_a": tuple, "ladder_male": tuple,
 def model_from_dict(payload) -> GenAgeModel:
     if isinstance(payload, dict) and payload.get("schema_version") != SCHEMA_VERSION:
         raise GenAgeError(f"unsupported model schema {payload.get('schema_version')!r}")
-    fields = _json_fields(payload, _MODEL_FIELDS, GenAgeError, "model")
+    fields = _json_fields(payload, _MODEL_FIELDS)
     missing = _MODEL_FIELDS.keys() - fields.keys() - {"objective_trace"}
     if missing:
         raise GenAgeError(f"model lacks the fields {sorted(missing)}")
@@ -323,12 +315,13 @@ def model_from_dict(payload) -> GenAgeModel:
 def _load_synth_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    kinds = {name: type(f.default) for name, f in SynthConfig.__dataclass_fields__.items()}
-    fields = _json_fields(payload, kinds, BadConfig, "synth config")
-    unknown = payload.keys() - kinds.keys()
+    if not isinstance(payload, dict):
+        raise BadConfig("synth config must be a JSON object")
+    unknown = payload.keys() - SynthConfig.__dataclass_fields__.keys()
     if unknown:
         raise GenAgeError(f"unknown synth config keys: {sorted(unknown)}")
-    return SynthConfig(**fields)
+    # SynthConfig names a field of the wrong type
+    return SynthConfig(**{key: tuple(v) if type(v) is list else v for key, v in payload.items()})
 
 
 def _resolve_seed(args, default=0):
@@ -391,7 +384,7 @@ def _cmd_predict(args):
     with open(args.model, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     model = model_from_dict(payload)
-    fields = _json_fields(payload, {"rank_to_year": tuple}, GenAgeError, "model")
+    fields = _json_fields(payload, {"rank_to_year": tuple})
     year_map = fields.get("rank_to_year")
     if year_map is not None:
         if not (all(type(v) is int for v in year_map)
@@ -401,8 +394,9 @@ def _cmd_predict(args):
         if len(year_map) != model.num_ranks:
             raise GenAgeError(f"model year map has {len(year_map)} entries for "
                               f"{model.num_ranks} ranks")
-    ds = ingest_csv(args.data)
-    genders, ranks = predict_batch(model, ds.features)
+    # the ages are not read, so a file of one age needs no second rank
+    features, _, _ = _read_csv(args.data)
+    genders, ranks = predict_batch(model, features)
     # the 2K lines a row can be, female ranks first: row i is line
     # (gender is male) * K + rank - 1
     K = model.num_ranks
@@ -576,9 +570,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GenAgeError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -64,9 +64,13 @@ class Dataset:
     ``num_ranks`` declares K; ``rank_to_year`` optionally maps rank k to the
     raw year it was compacted from (index k-1).  The constructor copies the
     given arrays and runs :func:`validate_dataset` on the result.
+
+    Each dataset keeps a private store of what fits derive from it alone
+    (see :meth:`_derived`): the arrays are frozen when the dataset is built,
+    so no entry can go stale, and the store lives and dies with the dataset.
     """
 
-    __slots__ = ("features", "gender", "age_rank", "num_ranks", "rank_to_year")
+    __slots__ = ("features", "gender", "age_rank", "num_ranks", "rank_to_year", "_store")
 
     def __init__(self, features, gender, age_rank, num_ranks=None, rank_to_year=None):
         self._hold(np.array(features, dtype=float, ndmin=2), np.array(gender, dtype=int),
@@ -99,6 +103,21 @@ class Dataset:
         self.features, self.gender, self.age_rank = features, gender, age_rank
         self.num_ranks = int(num_ranks)
         self.rank_to_year = tuple(rank_to_year) if rank_to_year is not None else None
+        self._store = {}
+
+    def _derived(self, key, make):
+        """The stored value for ``key``, made by ``make()`` on first use; a
+        ``make`` that raises stores nothing, so the next call raises again."""
+        try:
+            return self._store[key]
+        except KeyError:
+            value = self._store[key] = make()
+            return value
+
+    def __reduce__(self):
+        # a copy or an unpickled dataset is rebuilt from the arrays, which
+        # freezes them again and starts an empty store
+        return Dataset._adopt, (self.features, self.gender, self.age_rank, self.num_ranks, self.rank_to_year)
 
     @property
     def n(self):

@@ -92,7 +92,7 @@ def cross_validate(ds: Dataset, grid, folds=5):
     scores = [[] for _ in candidates]
     all_idx = np.arange(ds.n)
     # folds outside, grid inside: one subset pair per fold, and the grid's
-    # fits of a fold share their gender-blind init through fit_many
+    # fits of a fold share their gender-blind init through its store
     for val in stratified_folds(ds, folds):
         train = ds.subset(np.setdiff1d(all_idx, val))
         test = ds.subset(val)

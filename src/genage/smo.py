@@ -35,7 +35,7 @@ primal value a true upper bound for the duality-gap stopping test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -81,9 +81,70 @@ def hinge_sum(scores, tau, cuts):
     return float(np.clip(1.0 + tau * (scores - cuts), 0.0, None).sum())
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """What the solver derives from the terms' orientations and cut ids alone.
+
+    The interior point keeps the terms of cuts that have both orientations,
+    in cut order (``keep``), with each kept term's block among the kept cuts
+    (``ck``), the start of each block (``starts``) and their orientations
+    (``t``).  The dual finish sorts all terms by cut (``perm``, then ``tau``
+    and ``cut`` in that order), so the terms of cut j are the slice
+    ``bounds[j]:bounds[j + 1]``; ``chains`` are the chains as slices of cut
+    ids and ``tail`` marks the cuts that no running sum joins to the next.
+    """
+
+    keep: np.ndarray
+    ck: np.ndarray
+    starts: np.ndarray
+    t: np.ndarray
+    perm: np.ndarray
+    tau: np.ndarray
+    cut: np.ndarray
+    bounds: tuple
+    chains: tuple
+    tail: np.ndarray
+
+
+def _layout(tau, cut, n_cuts, chains):
+    """Check the chains and derive the :class:`_Layout` of the given terms."""
+    seen = np.zeros(n_cuts, dtype=bool)
+    for chain in chains:
+        ids = np.asarray(chain)
+        if (ids.ndim != 1 or ids.size == 0 or ids[0] < 0 or ids[-1] >= n_cuts
+                or np.any(ids != ids[0] + np.arange(ids.size)) or seen[ids].any()):
+            raise ValueError(f"chain {chain!r} is not a run of consecutive ascending cut ids "
+                             f"below {n_cuts} disjoint from the other chains")
+        seen[ids] = True
+    tau = np.asarray(tau, dtype=float)
+    cut = np.asarray(cut, dtype=int)
+    plus = np.bincount(cut, tau > 0, n_cuts)
+    minus = np.bincount(cut, tau < 0, n_cuts)
+    keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
+    keep = keep[np.argsort(cut[keep], kind="stable")]
+    used, ck = np.unique(cut[keep], return_inverse=True)
+    perm = np.argsort(cut, kind="stable")
+    slices = tuple(slice(chain[0], chain[-1] + 1) for chain in chains)
+    tail = np.ones(n_cuts, dtype=bool)
+    for ch in slices:
+        tail[ch.start: ch.stop - 1] = False
+    arrays = dict(keep=keep, ck=ck, starts=np.searchsorted(ck, np.arange(used.size)), t=tau[keep],
+                  perm=perm, tau=tau[perm], cut=cut[perm], tail=tail)
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return _Layout(bounds=tuple(np.searchsorted(arrays["cut"], np.arange(n_cuts + 1)).tolist()),
+                   chains=slices, **arrays)
+
+
 @dataclass
 class HingeProblem:
-    """One instance of the reduced subproblem (features already whitened)."""
+    """One instance of the reduced subproblem (features already whitened).
+
+    ``layouts`` is the :class:`_Layout` of the terms: the ``layout`` given,
+    which a caller that poses many problems on the same terms derived once
+    with :func:`_layout`, or else derived here.  It is no field, so
+    ``dataclasses.replace`` derives it again for the new terms.
+    """
 
     z: np.ndarray          # (T, d) feature rows
     tau: np.ndarray        # (T,) orientations, +-1
@@ -91,16 +152,10 @@ class HingeProblem:
     n_cuts: int
     chains: tuple          # runs of consecutive ascending cut ids that must stay sorted
     penalty: float
+    layout: InitVar[_Layout] = None
 
-    def __post_init__(self):
-        seen = np.zeros(self.n_cuts, dtype=bool)
-        for chain in self.chains:
-            ids = np.asarray(chain)
-            if (ids.ndim != 1 or ids.size == 0 or ids[0] < 0 or ids[-1] >= self.n_cuts
-                    or np.any(ids != ids[0] + np.arange(ids.size)) or seen[ids].any()):
-                raise ValueError(f"chain {chain!r} is not a run of consecutive ascending cut ids "
-                                 f"below {self.n_cuts} disjoint from the other chains")
-            seen[ids] = True
+    def __post_init__(self, layout):
+        self.layouts = _layout(self.tau, self.cut, self.n_cuts, self.chains) if layout is None else layout
 
 
 @dataclass
@@ -167,22 +222,14 @@ def _ipm_warm_start(prob):
     rates stay at least a factor of 2 apart.  Returns the duals and the
     number of iterations, each of which is one step of the solve's budget.
     """
-    z = np.asarray(prob.z, dtype=float)
-    tau = np.asarray(prob.tau, dtype=float)
-    cut = np.asarray(prob.cut, dtype=int)
+    lay = prob.layouts
+    keep, ck, starts, t = lay.keep, lay.ck, lay.starts, lay.t
     lam = float(prob.penalty)
-    beta = np.zeros(tau.size)
-    plus = np.bincount(cut, tau > 0, prob.n_cuts)
-    minus = np.bincount(cut, tau < 0, prob.n_cuts)
-    keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
+    beta = np.zeros(lay.perm.size)
     if lam <= 0.0 or keep.size == 0:
         return beta, 0
-    keep = keep[np.argsort(cut[keep], kind="stable")]
-    used, ck = np.unique(cut[keep], return_inverse=True)
-    n, m = keep.size, used.size
-    starts = np.searchsorted(ck, np.arange(m))
-    t = tau[keep]
-    zk = z[keep]
+    n, m = keep.size, starts.size
+    zk = np.asarray(prob.z, dtype=float)[keep]
     if zk.shape[1] > n:
         zk = np.linalg.qr(zk.T, mode="r").T  # z^T = Q R: R^T has z's Gram matrix
     d = zk.shape[1]
@@ -305,12 +352,11 @@ class _DualSolver:
         self.prob = prob
         self.lam = float(prob.penalty)
         self.T = prob.z.shape[0]
-        # sorted by cut once: each run of cuts, and so each tie segment, is one slice
-        cut = np.asarray(prob.cut, dtype=int)
-        self.perm = np.argsort(cut, kind="stable")
+        # sorted by cut: each run of cuts, and so each tie segment, is one slice
+        lay = prob.layouts
+        self.perm, self.tau, self.cut = lay.perm, lay.tau, lay.cut
+        self.bounds, self.chains, self.tail = lay.bounds, lay.chains, lay.tail
         self.z = np.ascontiguousarray(np.asarray(prob.z, dtype=float)[self.perm])
-        self.tau = np.asarray(prob.tau, dtype=float)[self.perm]
-        self.cut = cut[self.perm]
         self.beta = np.zeros(self.T) if warm is None else np.asarray(warm, dtype=float)[self.perm]
         # the sweeps and the working set count a dual within the slack of a
         # bound as on it, and nothing else would ever move it there
@@ -318,12 +364,6 @@ class _DualSolver:
         self.beta[self.beta <= tiny] = 0.0
         self.beta[self.beta >= self.lam - tiny] = self.lam
         self.znorm = np.einsum("ij,ij->i", self.z, self.z)
-        self.bounds = np.searchsorted(self.cut, np.arange(prob.n_cuts + 1)).tolist()
-        self.chains = [slice(chain[0], chain[-1] + 1) for chain in prob.chains]
-        # no running sum joins the last cut of a chain, or a cut in no chain, to the next cut
-        self.tail = np.ones(prob.n_cuts, dtype=bool)
-        for ch in self.chains:
-            self.tail[ch.start: ch.stop - 1] = False
         self.steps = 0
         self._restore_balance()
         self._refresh()

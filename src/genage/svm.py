@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset, ThresholdLadder
-from .errors import SingleClassInput
+from .core import Dataset, ThresholdLadder
 from .smo import solve_hinge_dual
-from .svor import _pose_problem, svor_objective
+from .svor import _CLASSIFIER, _pose_problem, svor_objective
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,7 @@ def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):
     SingleClassInput when one class is missing or the features carry no
     class contrast at all, NonConvergence when the step budget runs out.
     """
-    X = ds.features
-    if np.all(ds.gender == MALE) or np.all(ds.gender == FEMALE):
-        raise SingleClassInput("both gender classes are required")
-    if np.all(X == X[0]):
-        raise SingleClassInput("all samples are identical; the classes cannot be separated")
-    ranks = np.where(ds.gender == MALE, 2, 1)
-    prob, shrink = _pose_problem(X, ranks, ds.gender, 2, False, lambda1, anchor, lambda3)
+    prob, shrink = _pose_problem(ds, _CLASSIFIER, lambda1, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
     return SvmSolution(w=shrink(sol.v), b=-float(sol.cuts[0]), objective=sol.objective,
                        iterations=sol.steps)

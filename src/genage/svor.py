@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FEMALE, MALE, Dataset, ThresholdLadder
-from .errors import DimensionMismatch, InsufficientRanks
-from .smo import HingeProblem, hinge_sum, rank1_shrink, solve_hinge_dual
+from .errors import DimensionMismatch, InsufficientRanks, SingleClassInput
+from .smo import HingeProblem, _Layout, _layout, hinge_sum, rank1_shrink, solve_hinge_dual
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ def ordinal_slacks(scores, ranks, genders, ladder_male, ladder_female):
     hinge terms of :func:`_build_terms` for split ladders, summed by
     :func:`genage.smo.hinge_sum`.  Both ladders must have the same length.
     """
-    rows, taus, cut_ids, _, _ = _build_terms(ranks, genders, ladder_male.cuts.size + 1, True)
-    cuts = np.concatenate((ladder_male.cuts, ladder_female.cuts))
-    return hinge_sum(np.asarray(scores, dtype=float)[rows], taus, cuts[cut_ids])
+    terms = _Terms(*_build_terms(ranks, genders, ladder_male.cuts.size + 1, True))
+    return _slacks(terms, scores, np.concatenate((ladder_male.cuts, ladder_female.cuts)))
 
 
 def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, ladder_female):
@@ -47,11 +46,22 @@ def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, 
     With ``anchor`` set, the quadratic term carries the coupling
     ``lambda3 * (w . anchor)^2``.
     """
+    terms = _Terms(*_build_terms(ranks, genders, ladder_male.cuts.size + 1, True))
+    return _objective(terms, X, lambda2, anchor, lambda3, w,
+                      np.concatenate((ladder_male.cuts, ladder_female.cuts)))
+
+
+def _slacks(terms, scores, cuts):
+    """The hinge sum of ``terms`` at per-sample ``scores`` and per-cut values ``cuts``."""
+    return hinge_sum(np.asarray(scores, dtype=float)[terms.rows], terms.taus, cuts[terms.cut_ids])
+
+
+def _objective(terms, X, penalty, anchor, lambda3, w, cuts):
+    """The subproblem objective of ``terms`` at (w, cuts), original coordinates."""
     quad = 0.5 * float(w @ w)
     if anchor is not None and lambda3 > 0.0:
         quad += lambda3 * float(w @ anchor) ** 2
-    slacks = ordinal_slacks(X @ w, ranks, genders, ladder_male, ladder_female)
-    return quad + lambda2 * slacks
+    return quad + penalty * _slacks(terms, X @ w, cuts)
 
 
 def _build_terms(ranks, genders, num_ranks, split):
@@ -74,21 +84,80 @@ def _build_terms(ranks, genders, num_ranks, split):
     return rows, taus, cuts, n_cuts, chains
 
 
-def _pose_problem(X, ranks, genders, num_ranks, split, penalty, anchor, lambda3):
-    """Check a subproblem of either kind and pose it as a whitened
-    :class:`HingeProblem`; returns it and the whitening map, which also maps
-    the solved direction back."""
-    if penalty < 0 or lambda3 < 0:
-        raise ValueError("the hinge weight and lambda3 must be nonnegative")
-    if split:
+# the ladder kinds a fit solves: the classifier (two ranks, male above
+# female), one ladder shared by both genders, and one ladder per gender
+_CLASSIFIER, _SHARED, _SPLIT = "classifier", "shared", "split"
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """Hinge terms of one ladder kind and, for a dataset's stored ones, the
+    solver's layout of them."""
+
+    rows: np.ndarray
+    taus: np.ndarray
+    cut_ids: np.ndarray
+    n_cuts: int
+    chains: tuple
+    layout: _Layout = None
+
+
+def _kind_args(ds: Dataset, kind):
+    """The :func:`_build_terms` arguments of ``ds``'s terms of ``kind``."""
+    if kind == _CLASSIFIER:
+        return np.where(ds.gender == MALE, 2, 1), ds.gender, 2, False
+    return ds.age_rank, ds.gender, ds.num_ranks, kind == _SPLIT
+
+
+def _derive_terms(ds: Dataset, kind):
+    """Check that ``ds`` can pose a subproblem of ``kind`` and build its :class:`_Terms`."""
+    ranks, genders, num_ranks, split = args = _kind_args(ds, kind)
+    if kind == _CLASSIFIER:
+        if np.all(genders == MALE) or np.all(genders == FEMALE):
+            raise SingleClassInput("both gender classes are required")
+        X = ds.features
+        if np.all(X == X[0]):
+            raise SingleClassInput("all samples are identical; the classes cannot be separated")
+    elif split:
         for g, name in ((MALE, "male"), (FEMALE, "female")):
-            distinct = np.unique(ranks[genders == g])
-            if distinct.size < 2:
+            if np.unique(ranks[genders == g]).size < 2:
                 raise InsufficientRanks(
                     f"split ladders need the {name} samples to span >= 2 distinct ranks"
                 )
     elif np.unique(ranks).size < 2:
         raise InsufficientRanks("samples span a single rank; nothing to order")
+    rows, taus, cut_ids, n_cuts, chains = _build_terms(*args)
+    for arr in (rows, taus, cut_ids):
+        arr.setflags(write=False)
+    return _Terms(rows, taus, cut_ids, n_cuts, chains, _layout(taus, cut_ids, n_cuts, chains))
+
+
+def _terms(ds: Dataset, kind):
+    """``ds``'s :class:`_Terms` of ``kind``, kept in the dataset's store from
+    the first call whose checks pass: ``SingleClassInput`` for a classifier
+    that lacks a class or any class contrast, ``InsufficientRanks`` for
+    ladders over fewer than two distinct ranks."""
+    return ds._derived(kind, lambda: _derive_terms(ds, kind))
+
+
+def _loss_terms(ds: Dataset, kind):
+    """:func:`_terms`, for evaluating a loss, which needs no check: on a
+    dataset that fails the kind's check they are built without a layout and
+    not stored."""
+    try:
+        return _terms(ds, kind)
+    except (SingleClassInput, InsufficientRanks):
+        return _Terms(*_build_terms(*_kind_args(ds, kind)))
+
+
+def _pose_problem(ds, kind, penalty, anchor, lambda3):
+    """Check a subproblem of ``ds`` of ladder ``kind`` and pose it as a
+    whitened :class:`HingeProblem` on the dataset's stored terms; returns it
+    and the whitening map, which also maps the solved direction back."""
+    if penalty < 0 or lambda3 < 0:
+        raise ValueError("the hinge weight and lambda3 must be nonnegative")
+    terms = _terms(ds, kind)
+    X = ds.features
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (X.shape[1],):
@@ -96,14 +165,14 @@ def _pose_problem(X, ranks, genders, num_ranks, split, penalty, anchor, lambda3)
                 f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
             )
     shrink = rank1_shrink(anchor, lambda3)
-    rows, taus, cut_ids, n_cuts, chains = _build_terms(ranks, genders, num_ranks, split)
     prob = HingeProblem(
-        z=shrink(X)[rows],
-        tau=taus,
-        cut=cut_ids,
-        n_cuts=n_cuts,
-        chains=chains,
+        z=shrink(X)[terms.rows],
+        tau=terms.taus,
+        cut=terms.cut_ids,
+        n_cuts=terms.n_cuts,
+        chains=terms.chains,
         penalty=float(penalty),
+        layout=terms.layout,
     )
     return prob, shrink
 
@@ -116,11 +185,8 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
     Raises InsufficientRanks when a fitted population does not span at least
     two distinct ranks, NonConvergence when the step budget runs out.
     """
-    X = ds.features
-    ranks = ds.age_rank
-    genders = ds.gender
     K = ds.num_ranks
-    prob, shrink = _pose_problem(X, ranks, genders, K, split_thresholds, lambda2, anchor, lambda3)
+    prob, shrink = _pose_problem(ds, _SPLIT if split_thresholds else _SHARED, lambda2, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
     w = shrink(sol.v)
     if split_thresholds:

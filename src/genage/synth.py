@@ -16,7 +16,8 @@ noise and act as distractors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,10 +39,36 @@ class SynthConfig:
     noise_sigma: float = 0.5
     seed: int = 42
 
+    def __post_init__(self):
+        # each field takes the type of its default; a bool is no number here
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is int:
+                ok, name = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+            elif kind is float:
+                ok, name = _is_real(value), "a number"
+            else:
+                ok = (isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1) \
+                    and all(map(_is_real, value))
+                name = "a sequence of numbers"
+            if not ok:
+                raise BadConfig(f"synth config field {f.name!r} must be {name}, got {value!r}")
+
     def replace(self, **changes):
         from dataclasses import replace
 
         return replace(self, **changes)
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number, not a bool, that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer too large
+        return False
+    return True
 
 
 def true_directions(cfg: SynthConfig):

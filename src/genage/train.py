@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, ThresholdLadder, TrainConfig, Variant
 from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch, NonFiniteFeature
-from .svm import solve_svm, svm_objective
-from .svor import predict_ranks, solve_svor, svor_objective
+from .svm import solve_svm
+from .svor import _CLASSIFIER, _SHARED, _SPLIT, _loss_terms, _objective, predict_ranks, solve_svor
 
 
 def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male, ladder_female):
@@ -38,16 +38,21 @@ def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male,
     The classifier's subproblem objective without coupling plus the ordinal
     one coupled on ``w_g``; slack values are the margin violations of the
     given state, so the result is exact for any (w_g, b_g, w_a, ladders),
-    fitted or not.
+    fitted or not.  The hinge terms are the dataset's stored ones.
     """
     w_g = np.asarray(w_g, dtype=float)
     w_a = np.asarray(w_a, dtype=float)
     if w_g.shape != (ds.dim,) or w_a.shape != (ds.dim,):
         raise DimensionMismatch("state dimensions do not match the dataset")
     X = ds.features
-    return (svm_objective(X, ds.gender, hyper.lambda1, None, 0.0, w_g, b_g)
-            + svor_objective(X, ds.age_rank, ds.gender, hyper.lambda2, w_g, hyper.lambda3, w_a,
-                             ladder_male, ladder_female))
+    # one ladder object reads the same cut values through the shared terms
+    # as through the split ones, term for term in the same order
+    shared = ladder_male is ladder_female
+    cuts = ladder_male.cuts if shared else np.concatenate((ladder_male.cuts, ladder_female.cuts))
+    clf = _loss_terms(ds, _CLASSIFIER)
+    ordinal = _loss_terms(ds, _SHARED if shared else _SPLIT)
+    return (_objective(clf, X, hyper.lambda1, None, 0.0, w_g, np.array([-float(b_g)]))
+            + _objective(ordinal, X, hyper.lambda2, w_g, hyper.lambda3, w_a, cuts))
 
 
 def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
@@ -58,39 +63,36 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
     The coupled variants then alternate classifier and ordinal solves for
     ``t_max`` iterations, stopping early once a full iteration changes the
     objective by less than ``tol`` relatively.
+
+    The gender-blind init depends only on ``lambda2`` and ``tol``, and the
+    first classifier half-step only on that init, ``lambda1`` and the
+    effective ``lambda3`` (0 for the decoupled variants, so ``direct`` and
+    ``2step`` pose the same problem).  Both are kept in the dataset's store,
+    so fits on one dataset solve each once.  Every solve is one
+    deterministic call, so a model is the same whichever fit solved them.
     """
-    return fit_many(ds, [TrainConfig() if cfg is None else cfg])[0]
+    cfg = TrainConfig() if cfg is None else cfg
+    if not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
+        raise DegenerateGender(f"variant {cfg.hyper.variant.value} needs both genders in the training data")
+    hyper = _effective(cfg.hyper)
+    key = ("init", hyper.lambda2, hyper.tol)
+    init = ds._derived(key, lambda: _frozen(solve_svor(ds, hyper.lambda2, anchor=None, lambda3=0.0,
+                                                        split_thresholds=False, tol=hyper.tol)))
+    first_svm = ds._derived(key + (hyper.lambda1, hyper.lambda3), lambda: _frozen(
+        solve_svm(ds, hyper.lambda1, anchor=init.w, lambda3=hyper.lambda3, tol=hyper.tol)))
+    return _alternate(ds, cfg, init, first_svm)
 
 
 def fit_many(ds: Dataset, configs) -> list[GenAgeModel]:
-    """Train one model per config on the same ``ds``, in order.
+    """Train one model per config on the same ``ds``, in order: one
+    :func:`fit` each, which share the solves kept in the dataset's store."""
+    return [fit(ds, cfg) for cfg in configs]
 
-    The gender-blind init depends only on ``lambda2`` and ``tol``, so it is
-    solved once per distinct pair and shared by every config that has it.
-    The first classifier half-step then depends only on that init and on
-    ``lambda1`` and the effective ``lambda3`` (0 for the decoupled variants,
-    so ``direct`` and ``2step`` pose the same problem), and is shared the
-    same way.  Every shared solve is one deterministic call, so each model
-    is identical to the one a separate :func:`fit` returns.
-    """
-    configs = list(configs)
-    if configs and not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
-        variant = configs[0].hyper.variant
-        raise DegenerateGender(f"variant {variant.value} needs both genders in the training data")
-    inits, first_svms = {}, {}
-    models = []
-    for cfg in configs:
-        hyper = _effective(cfg.hyper)
-        key = (hyper.lambda2, hyper.tol)
-        if key not in inits:
-            inits[key] = solve_svor(ds, key[0], anchor=None, lambda3=0.0,
-                                    split_thresholds=False, tol=key[1])
-        svm_key = key + (hyper.lambda1, hyper.lambda3)
-        if svm_key not in first_svms:
-            first_svms[svm_key] = solve_svm(ds, hyper.lambda1, anchor=inits[key].w,
-                                            lambda3=hyper.lambda3, tol=hyper.tol)
-        models.append(_alternate(ds, cfg, inits[key], first_svms[svm_key]))
-    return models
+
+def _frozen(sol):
+    """``sol`` with its direction made read-only, as the store hands it to every fit."""
+    sol.w.setflags(write=False)
+    return sol
 
 
 def _effective(hyper: HyperParams) -> HyperParams:

@@ -152,6 +152,30 @@ def test_predict_maps_ranks_through_the_training_years(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("age", ["1", "1981", "2000"])
+def test_predict_reads_no_ages_so_one_age_is_enough(tmp_path, capsys, age):
+    """A file of one age has a single rank, which predict never reads: each
+    row gets the line it gets in a file of mixed ages, while fit refuses."""
+    rng = np.random.default_rng(4)
+    train = years_csv(tmp_path / "train.csv", (1981, 1982, 1983, 1984, 1985), rng)
+    mixed = years_csv(tmp_path / "mixed.csv", (1981, 1985), rng)
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--data", train, "--out", model_path]) == 0
+    header, *rows = (tmp_path / "mixed.csv").read_text(encoding="utf-8").splitlines()
+    single = write(tmp_path / "single.csv",
+                   "\n".join([header] + [row.rsplit(",", 1)[0] + "," + age for row in rows]) + "\n")
+    outputs = []
+    for data in (mixed, single):
+        out = tmp_path / f"pred-{len(outputs)}.csv"
+        assert main(["predict", "--model", model_path, "--data", data, "--out", str(out)]) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 1 + len(rows)
+    capsys.readouterr()
+    assert main(["fit", "--data", single, "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith("genage: error: ")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_rank_labelled_model_carries_no_year_map(tmp_path):
     data = tmp_path / "data.csv"
     assert main(["generate", "--config", synth_json(tmp_path), "--out", str(data)]) == 0
@@ -473,3 +497,33 @@ def test_fit_rejects_non_finite_weights_before_any_solve(tmp_path, capsys, monke
         assert main(["fit", "--data", str(data), flag, value, "--out", str(out)]) == 1
         assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+flag_values = {"--lambda1": ["0", "1e-3", "10", "1e4", "-1", "nan", "inf", "1e400"],
+               "--lambda2": ["0", "1e-3", "10", "1e4", "-1", "nan", "inf"],
+               "--lambda3": ["0", "10", "1e6", "-5", "nan"],
+               "--tmax": ["1", "3", "0", "-2"],
+               "--tol": ["1e-6", "1e-2", "0", "-1e-6", "nan", "1e300"]}
+# flag=value, since argparse takes a bare "-1e-6" for an option
+hyper_flags = st.dictionaries(st.sampled_from(sorted(flag_values)), st.just(None), max_size=3).flatmap(
+    lambda chosen: st.tuples(*[st.sampled_from(flag_values[flag]).map(f"{flag}={{}}".format) for flag in chosen]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fit_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, capsys, data):
+    rows = data.draw(st.lists(good_rows, min_size=6, max_size=24))
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 2]))):  # most files parse
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(bad_rows)
+    data_path = write(tmp_path / "d.csv", "\n".join(["f1,f2,gender,age"] + rows) + "\n")
+    flags = list(data.draw(hyper_flags))
+    variant = data.draw(st.sampled_from([v.value for v in Variant]))
+    out = tmp_path / "model.json"
+    out.unlink(missing_ok=True)
+    code = main(["fit", "--data", data_path, "--variant", variant, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and model_from_dict(json.loads(out.read_text(encoding="utf-8"))).dim == 2
+    else:
+        assert code == 1 and err.startswith("genage: error: ") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from genage import (
     HyperParams,
     ThresholdLadder,
     Variant,
+    fit,
     generate,
     validate_dataset,
 )
@@ -20,6 +24,10 @@ from genage.errors import (
     NonFiniteFeature,
     RankOutOfRange,
 )
+
+
+def small_dataset_arrays():
+    return [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.0, 0.5]], [1, -1, 1, -1], [1, 2, 3, 3]
 
 
 def small_dataset():
@@ -89,6 +97,18 @@ def test_dataset_arrays_are_frozen():
     ds = small_dataset()
     with pytest.raises(ValueError):
         ds.features[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda ds: pickle.loads(pickle.dumps(ds))])
+def test_a_copied_dataset_is_frozen_with_an_empty_store(duplicate):
+    """The store relies on frozen arrays: a copy or an unpickled dataset
+    freezes them again and derives its own entries."""
+    ds = Dataset(*small_dataset_arrays(), num_ranks=3, rank_to_year=(1990, 1991, 1992))
+    fit(ds)
+    assert ds._store
+    again = duplicate(ds)
+    assert again == ds and again.rank_to_year == ds.rank_to_year and again._store == {}
+    assert not any(arr.flags.writeable for arr in (again.features, again.gender, again.age_rank))
 
 
 def test_dataset_copies_the_callers_arrays():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from genage import Dataset, predict_ranks, solve_svor, svor, ThresholdLadder
-from genage.errors import InsufficientRanks
+from genage import (Dataset, HyperParams, ThresholdLadder, objective_value, predict_ranks, solve_svm, solve_svor,
+                    svm_objective, svor, svor_objective)
+from genage.errors import InsufficientRanks, SingleClassInput
 
 from _oracles import random_svor_holes_instance, random_svor_instance, svor_oracle
 
@@ -139,6 +140,33 @@ def test_insufficient_ranks_per_gender():
     one_rank = Dataset([[0.0], [1.0], [2.0]], [1, -1, 1], [2, 2, 2], num_ranks=2)
     with pytest.raises(InsufficientRanks, match="single rank"):
         solve_svor(one_rank, 1.0, split_thresholds=False)
+
+
+def test_a_failed_check_stores_nothing_and_raises_again():
+    ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1], [1, 2, 1, 1], num_ranks=2)
+    for _ in range(2):
+        with pytest.raises(InsufficientRanks, match="female"):
+            solve_svor(ds, 1.0, split_thresholds=True)
+        assert ds._store == {}
+    one_class = Dataset([[0.0], [1.0]], [1, 1], [1, 2])
+    for _ in range(2):
+        with pytest.raises(SingleClassInput):
+            solve_svm(one_class, 1.0)
+        assert one_class._store == {}
+    # a loss needs no check: on split ladders it builds the terms and stores none
+    ladders = ThresholdLadder([0.0]), ThresholdLadder([1.0])
+    value = objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), *ladders)
+    assert value == pytest.approx(svm_objective(ds.features, ds.gender, 10.0, None, 0.0, np.ones(1), 0.0)
+                                  + svor_objective(ds.features, ds.age_rank, ds.gender, 10.0, np.ones(1),
+                                                   1000.0, np.ones(1), *ladders), rel=1e-15)
+    assert svor._SPLIT not in ds._store
+    # the kinds whose checks pass are kept, and the solve after them poses the same terms
+    solve_svor(ds, 1.0, split_thresholds=False)
+    assert sorted(ds._store) == [svor._CLASSIFIER, svor._SHARED]
+    terms = ds._store[svor._SHARED]
+    assert not any(arr.flags.writeable for arr in (terms.rows, terms.taus, terms.cut_ids, terms.layout.perm))
+    solve_svor(ds, 2.0, split_thresholds=False)
+    assert ds._store[svor._SHARED] is terms
 
 
 def test_negative_weights_rejected():

@@ -111,6 +111,29 @@ def test_bad_configs_rejected():
         generate(SynthConfig(samples_per_cell=0))
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("dim", "3", "an integer"),
+    ("seed", 4.0, "an integer"),
+    ("samples_per_cell", True, "an integer"),
+    ("gender_gap", "4", "a number"),
+    ("noise_sigma", None, "a number"),
+    ("discrepancy", 10**400, "a number"),
+    ("male_cut_centers", 5, "a sequence of numbers"),
+    ("male_cut_centers", (0.0, "1", 2.0, 3.0), "a sequence of numbers"),
+    ("male_cut_centers", np.zeros((2, 2)), "a sequence of numbers"),
+])
+def test_a_wrongly_typed_field_is_named(field, value, kind):
+    with pytest.raises(BadConfig, match=f"synth config field '{field}' must be {kind}"):
+        SynthConfig(**{field: value})
+
+
+def test_numpy_numbers_and_sequences_are_accepted():
+    cuts = np.linspace(-3.0, 3.0, 4)
+    for cfg in (SynthConfig(dim=np.int64(3), noise_sigma=np.float64(0.5), male_cut_centers=cuts),
+                SynthConfig(dim=3, gender_gap=4, male_cut_centers=list(cuts))):
+        assert generate(cfg).features.shape == (400, 3)
+
+
 def concatenating_generate(cfg):
     """The per-cell generator that builds each cell as its own array and joins them."""
     from genage.synth import _BIN_INSET, _bins

@@ -29,6 +29,11 @@ def hyper(lam3=1000.0, variant=Variant.TT, **kw):
                        variant=variant, **kw)
 
 
+def fresh_copy(ds):
+    """The same data in a new dataset, whose store is empty."""
+    return Dataset(ds.features, ds.gender, ds.age_rank, num_ranks=ds.num_ranks, rank_to_year=ds.rank_to_year)
+
+
 def small_synth(**overrides):
     base = dict(dim=6, samples_per_cell=12, noise_sigma=0.4, seed=7)
     base.update(overrides)
@@ -297,17 +302,50 @@ def test_fit_many_shares_the_init_and_matches_separate_fits(svor_calls):
     ds = small_synth(discrepancy=1.5)
     configs = [TrainConfig(hyper=HyperParams(lambda1=10.0, lambda2=lam2, lambda3=lam3, t_max=2, variant=v))
                for v in Variant for lam3 in (10.0, 1000.0) for lam2 in (10.0, 30.0)]
-    separate = [fit(ds, cfg) for cfg in configs]
+    # a copy of its own: fits on one dataset share its stored solves, so
+    # fitting ``ds`` here would hand fit_many inits that are already solved
+    separate = [fit(fresh_copy(ds), cfg) for cfg in configs]
     svor_calls.clear()
     together = fit_many(ds, configs)
     assert sorted(lam2 for lam2, init in svor_calls if init) == [10.0, 30.0]
     for a, b in zip(separate, together, strict=True):
-        assert a.variant == b.variant
-        assert np.array_equal(a.w_g, b.w_g) and a.b_g == b.b_g
-        assert np.array_equal(a.w_a, b.w_a)
-        assert np.array_equal(a.ladder_male.cuts, b.ladder_male.cuts)
-        assert np.array_equal(a.ladder_female.cuts, b.ladder_female.cuts)
-        assert a.objective_trace == b.objective_trace
+        assert_same_model(a, b)
+
+
+def assert_same_model(a, b):
+    """Equal bit for bit, the trace included."""
+    assert a.variant == b.variant
+    assert np.array_equal(a.w_g, b.w_g) and a.b_g == b.b_g
+    assert np.array_equal(a.w_a, b.w_a)
+    assert np.array_equal(a.ladder_male.cuts, b.ladder_male.cuts)
+    assert np.array_equal(a.ladder_female.cuts, b.ladder_female.cuts)
+    assert a.objective_trace == b.objective_trace
+
+
+def test_separate_fits_on_one_dataset_solve_each_init_once(svor_calls):
+    """The dataset's store keeps the init per (lambda2, tol) and the first
+    classifier step, so separate fits share them as fit_many's configs do,
+    and each model is the one a fit on a fresh copy returns."""
+    ds = small_synth(discrepancy=1.5)
+    configs = [TrainConfig(hyper=HyperParams(lambda2=lam2, tol=tol, variant=v))
+               for tol in (1e-6, 1e-8) for lam2 in (10.0, 30.0) for v in Variant]
+    models = [fit(ds, cfg) for cfg in configs]
+    assert sorted(lam2 for lam2, init in svor_calls if init) == [10.0, 10.0, 30.0, 30.0]
+    svor_calls.clear()
+    assert fit(ds, configs[-1]).objective_trace == models[-1].objective_trace
+    assert not any(init for _, init in svor_calls)
+    for cfg, model in zip(configs, models, strict=True):
+        assert_same_model(fit(fresh_copy(ds), cfg), model)
+
+
+def test_objective_value_reads_a_shared_ladder_as_the_split_terms_do():
+    ds = small_synth(discrepancy=1.5)
+    model = fit(ds, TrainConfig(hyper=hyper(variant=Variant.ST)))
+    hp = hyper()
+    ladder = model.ladder_male
+    shared = objective_value(ds, hp, model.w_g, model.b_g, model.w_a, ladder, ladder)
+    split = objective_value(ds, hp, model.w_g, model.b_g, model.w_a, ladder, ThresholdLadder(ladder.cuts))
+    assert shared == split
 
 
 def tiny_fit_problems(count, seed):
