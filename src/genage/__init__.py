@@ -31,8 +31,8 @@ from .evaluate import (
     stratified_folds,
 )
 from .pls import PlsModel, fit_pls, fit_pls_dataset, predict_pls, predict_pls_batch
-from .svm import SvmSolution, solve_svm, svm_objective
-from .svor import SvorSolution, ordinal_slacks, predict_ranks, solve_svor, svor_objective
+from .svm import SvmSolution, solve_svm
+from .svor import SvorSolution, predict_ranks, solve_svor
 from .synth import SynthConfig, effective_cuts, generate, true_directions
 from .train import fit, fit_many, objective_value, predict, predict_batch
 
@@ -61,7 +61,6 @@ __all__ = [
     "hyper_grid",
     "mae",
     "objective_value",
-    "ordinal_slacks",
     "predict",
     "predict_batch",
     "predict_pls",
@@ -73,8 +72,6 @@ __all__ = [
     "solve_svor",
     "split_train_test",
     "stratified_folds",
-    "svm_objective",
-    "svor_objective",
     "true_directions",
     "validate_dataset",
 ]

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant
-from .errors import EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
+from .errors import BadConfig, EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
 from .pls import fit_pls_dataset, predict_pls_batch, truncate_pls
 from .synth import SynthConfig, generate
 from .train import fit, fit_many, predict_batch  # noqa: F401  (fit: perfbench's tracer wraps it here)
@@ -305,6 +305,10 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0):
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {ALL_METHODS}")
+        if methods.count(m) > 1:
+            raise ValueError(f"method {m!r} is listed more than once")
+    if runs < 1:
+        raise BadConfig(f"runs must be at least 1, got {runs}")
     ds = generate(data) if isinstance(data, SynthConfig) else data
     if hyper is None:
         hyper = HyperParams()

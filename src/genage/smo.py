@@ -9,7 +9,10 @@ where each hinge term t carries a feature row ``z_t``, an orientation
 ``tau_t`` (+1 pushes the score below its cut by the unit margin, -1 pushes
 it above) and the index of the cut it references.  A chain is a run of
 consecutive cut ids.  The gender classifier is the two-rank case: one cut
-(the negated bias) on a one-cut chain.
+(the negated bias) on a one-cut chain.  A :class:`HingeProblem` holds the
+rows z, the penalty and a :class:`HingeTerms`: the orientations, cut ids
+and chains with the solver's layout of them, which :func:`hinge_terms`
+checks and derives once for every problem posed on the same terms.
 
 In the dual with explicit order constraints (Chu & Keerthi, "New approaches
 to support vector ordinal regression", ICML 2005) the multiplier of
@@ -35,7 +38,7 @@ primal value a true upper bound for the duality-gap stopping test.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,32 +85,35 @@ def hinge_sum(scores, tau, cuts):
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """What the solver derives from the terms' orientations and cut ids alone.
+class HingeTerms:
+    """The hinge terms of a subproblem and what the solver derives from them.
 
-    The interior point keeps the terms of cuts that have both orientations,
-    in cut order (``keep``), with each kept term's block among the kept cuts
-    (``ck``), the start of each block (``starts``) and their orientations
-    (``t``).  The dual finish sorts all terms by cut (``perm``, then ``tau``
-    and ``cut`` in that order), so the terms of cut j are the slice
-    ``bounds[j]:bounds[j + 1]``; ``chains`` are the chains as slices of cut
-    ids and ``tail`` marks the cuts that no running sum joins to the next.
+    Term t has the orientation ``tau[t]`` and references cut ``cut[t]`` of
+    ``n_cuts``.  ``chains`` are the chains as slices of cut ids and ``tail``
+    marks the cuts that no running sum joins to the next.  The interior
+    point keeps the terms of cuts that have both orientations, in cut order
+    (``keep``), with each kept term's block among the kept cuts (``ck``)
+    and the start of each block (``starts``).  The dual finish sorts the
+    terms by cut (``perm``), so the terms of cut j are the slice
+    ``bounds[j]:bounds[j + 1]`` of the sorted terms.  Built, and its chains
+    checked, by :func:`hinge_terms`; its arrays are read-only.
     """
 
+    tau: np.ndarray
+    cut: np.ndarray
+    n_cuts: int
+    chains: tuple
+    tail: np.ndarray
     keep: np.ndarray
     ck: np.ndarray
     starts: np.ndarray
-    t: np.ndarray
     perm: np.ndarray
-    tau: np.ndarray
-    cut: np.ndarray
     bounds: tuple
-    chains: tuple
-    tail: np.ndarray
 
 
-def _layout(tau, cut, n_cuts, chains):
-    """Check the chains and derive the :class:`_Layout` of the given terms."""
+def hinge_terms(tau, cut, n_cuts, chains):
+    """Check the chains, runs of consecutive ascending cut ids that must stay
+    sorted, and derive the :class:`HingeTerms` of the given terms."""
     seen = np.zeros(n_cuts, dtype=bool)
     for chain in chains:
         ids = np.asarray(chain)
@@ -116,8 +122,8 @@ def _layout(tau, cut, n_cuts, chains):
             raise ValueError(f"chain {chain!r} is not a run of consecutive ascending cut ids "
                              f"below {n_cuts} disjoint from the other chains")
         seen[ids] = True
-    tau = np.asarray(tau, dtype=float)
-    cut = np.asarray(cut, dtype=int)
+    tau = np.array(tau, dtype=float)
+    cut = np.array(cut, dtype=int)
     plus = np.bincount(cut, tau > 0, n_cuts)
     minus = np.bincount(cut, tau < 0, n_cuts)
     keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
@@ -128,34 +134,21 @@ def _layout(tau, cut, n_cuts, chains):
     tail = np.ones(n_cuts, dtype=bool)
     for ch in slices:
         tail[ch.start: ch.stop - 1] = False
-    arrays = dict(keep=keep, ck=ck, starts=np.searchsorted(ck, np.arange(used.size)), t=tau[keep],
-                  perm=perm, tau=tau[perm], cut=cut[perm], tail=tail)
+    arrays = dict(tau=tau, cut=cut, tail=tail, keep=keep, ck=ck,
+                  starts=np.searchsorted(ck, np.arange(used.size)), perm=perm)
     for arr in arrays.values():
         arr.setflags(write=False)
-    return _Layout(bounds=tuple(np.searchsorted(arrays["cut"], np.arange(n_cuts + 1)).tolist()),
-                   chains=slices, **arrays)
+    return HingeTerms(n_cuts=n_cuts, chains=slices,
+                      bounds=tuple(np.searchsorted(cut[perm], np.arange(n_cuts + 1)).tolist()), **arrays)
 
 
 @dataclass
 class HingeProblem:
-    """One instance of the reduced subproblem (features already whitened).
+    """One instance of the reduced subproblem (features already whitened)."""
 
-    ``layouts`` is the :class:`_Layout` of the terms: the ``layout`` given,
-    which a caller that poses many problems on the same terms derived once
-    with :func:`_layout`, or else derived here.  It is no field, so
-    ``dataclasses.replace`` derives it again for the new terms.
-    """
-
-    z: np.ndarray          # (T, d) feature rows
-    tau: np.ndarray        # (T,) orientations, +-1
-    cut: np.ndarray        # (T,) cut index per term
-    n_cuts: int
-    chains: tuple          # runs of consecutive ascending cut ids that must stay sorted
+    z: np.ndarray          # (T, d) feature rows, one per term
+    terms: HingeTerms
     penalty: float
-    layout: InitVar[_Layout] = None
-
-    def __post_init__(self, layout):
-        self.layouts = _layout(self.tau, self.cut, self.n_cuts, self.chains) if layout is None else layout
 
 
 @dataclass
@@ -222,10 +215,11 @@ def _ipm_warm_start(prob):
     rates stay at least a factor of 2 apart.  Returns the duals and the
     number of iterations, each of which is one step of the solve's budget.
     """
-    lay = prob.layouts
-    keep, ck, starts, t = lay.keep, lay.ck, lay.starts, lay.t
+    terms = prob.terms
+    keep, ck, starts = terms.keep, terms.ck, terms.starts
+    t = terms.tau[keep]
     lam = float(prob.penalty)
-    beta = np.zeros(lay.perm.size)
+    beta = np.zeros(terms.tau.size)
     if lam <= 0.0 or keep.size == 0:
         return beta, 0
     n, m = keep.size, starts.size
@@ -353,9 +347,10 @@ class _DualSolver:
         self.lam = float(prob.penalty)
         self.T = prob.z.shape[0]
         # sorted by cut: each run of cuts, and so each tie segment, is one slice
-        lay = prob.layouts
-        self.perm, self.tau, self.cut = lay.perm, lay.tau, lay.cut
-        self.bounds, self.chains, self.tail = lay.bounds, lay.chains, lay.tail
+        terms = prob.terms
+        self.perm, self.n_cuts = terms.perm, terms.n_cuts
+        self.tau, self.cut = terms.tau[self.perm], terms.cut[self.perm]
+        self.bounds, self.chains, self.tail = terms.bounds, terms.chains, terms.tail
         self.z = np.ascontiguousarray(np.asarray(prob.z, dtype=float)[self.perm])
         self.beta = np.zeros(self.T) if warm is None else np.asarray(warm, dtype=float)[self.perm]
         # the sweeps and the working set count a dual within the slack of a
@@ -406,7 +401,7 @@ class _DualSolver:
 
     def _running_sums(self, per_cut):
         """Running sums of a per-cut array along each chain; 0 off the chains."""
-        sums = np.zeros(self.prob.n_cuts)
+        sums = np.zeros(self.n_cuts)
         for ch in self.chains:
             sums[ch] = np.cumsum(per_cut[ch])
         return sums
@@ -419,7 +414,7 @@ class _DualSolver:
         in one segment while it exceeds the slack.  Returns the segments as
         (first cut, end cut) pairs, the running sums and the joined mask.
         """
-        balances = np.bincount(self.cut, self.tau * self.beta, self.prob.n_cuts)
+        balances = np.bincount(self.cut, self.tau * self.beta, self.n_cuts)
         sums = self._running_sums(balances)
         joined = ~self.tail & (sums > _BOUND_SLACK * max(1.0, self.lam))
         ends = (np.flatnonzero(~joined) + 1).tolist()
@@ -536,11 +531,11 @@ class _DualSolver:
             size = float(np.abs(step).max(initial=0.0))
             if size <= 1e-13 * max(1.0, lam):
                 return
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # both branches run
                 room = np.where(step > 1e-300, (lam - self.beta[work]) / step,
                                 np.where(step < -1e-300, -self.beta[work] / step, np.inf))
             alpha_max = float(np.min(room, initial=np.inf))
-            rate = self._running_sums(np.bincount(cut_w, tau_w * step, self.prob.n_cuts))
+            rate = self._running_sums(np.bincount(cut_w, tau_w * step, self.n_cuts))
             falling = joined & (rate < 0.0)
             if falling.any():
                 alpha_max = min(alpha_max, float((sums[falling] / -rate[falling]).min()))
@@ -584,7 +579,7 @@ class _DualSolver:
         return 0.5 * (lo + hi)
 
     def _recover_cuts(self):
-        n_cuts = self.prob.n_cuts
+        n_cuts = self.n_cuts
         segments, _, _ = self._segments()
         lo, hi = np.full(n_cuts, -np.inf), np.full(n_cuts, np.inf)
         valued = np.zeros(n_cuts, dtype=bool)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ThresholdLadder
+from .core import Dataset
 from .smo import solve_hinge_dual
-from .svor import _CLASSIFIER, _pose_problem, svor_objective
+from .svor import _CLASSIFIER, _pose_problem
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,6 @@ class SvmSolution:
     b: float
     objective: float  # the primal value whose duality gap the solve certified
     iterations: int
-
-
-def svm_objective(X, y, lambda1, anchor, lambda3, w, b):
-    """The subproblem objective evaluated at (w, b) in original coordinates:
-    :func:`genage.svor.svor_objective` of the two-rank problem, male above
-    female, with one cut at -b."""
-    ladder = ThresholdLadder(-float(b))
-    return svor_objective(X, np.where(np.asarray(y) > 0, 2, 1), y, lambda1, anchor, lambda3, w,
-                          ladder, ladder)
 
 
 def solve_svm(ds: Dataset, lambda1, anchor=None, lambda3=0.0, tol=1e-6):

@@ -7,6 +7,13 @@ per violated side (rank 1 has no lower side, rank K no upper side).  The
 quadratic term uses the rank-one-modified metric I + 2*lam3 * a a^T, handled
 by the same whitening as the classifier.  Ladder monotonicity is enforced
 inside the solver, not by post-hoc clipping.
+
+Both subproblems are posed here: :func:`_build_terms` says which sample
+meets which cut on which side, and a dataset stores, per ladder kind, the
+sample row of each term with its :class:`~genage.smo.HingeTerms`.  The
+solvers pose their :class:`~genage.smo.HingeProblem` on those, and the
+losses of :func:`genage.train.objective_value` read them through
+:func:`_objective`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .core import FEMALE, MALE, Dataset, ThresholdLadder
 from .errors import DimensionMismatch, InsufficientRanks, SingleClassInput
-from .smo import HingeProblem, _Layout, _layout, hinge_sum, rank1_shrink, solve_hinge_dual
+from .smo import HingeProblem, hinge_sum, hinge_terms, rank1_shrink, solve_hinge_dual
 
 
 @dataclass(frozen=True)
@@ -29,43 +36,20 @@ class SvorSolution:
     iterations: int
 
 
-def ordinal_slacks(scores, ranks, genders, ladder_male, ladder_female):
-    """Sum of per-sample margin violations against the gender-matched ladders.
-
-    The slack total of the ordinal subproblem at an arbitrary state: the
-    hinge terms of :func:`_build_terms` for split ladders, summed by
-    :func:`genage.smo.hinge_sum`.  Both ladders must have the same length.
-    """
-    terms = _Terms(*_build_terms(ranks, genders, ladder_male.cuts.size + 1, True))
-    return _slacks(terms, scores, np.concatenate((ladder_male.cuts, ladder_female.cuts)))
-
-
-def svor_objective(X, ranks, genders, lambda2, anchor, lambda3, w, ladder_male, ladder_female):
-    """The ordinal subproblem objective at the given state, original coordinates.
-
-    With ``anchor`` set, the quadratic term carries the coupling
-    ``lambda3 * (w . anchor)^2``.
-    """
-    terms = _Terms(*_build_terms(ranks, genders, ladder_male.cuts.size + 1, True))
-    return _objective(terms, X, lambda2, anchor, lambda3, w,
-                      np.concatenate((ladder_male.cuts, ladder_female.cuts)))
-
-
-def _slacks(terms, scores, cuts):
-    """The hinge sum of ``terms`` at per-sample ``scores`` and per-cut values ``cuts``."""
-    return hinge_sum(np.asarray(scores, dtype=float)[terms.rows], terms.taus, cuts[terms.cut_ids])
-
-
-def _objective(terms, X, penalty, anchor, lambda3, w, cuts):
-    """The subproblem objective of ``terms`` at (w, cuts), original coordinates."""
+def _objective(rows, terms, X, penalty, anchor, lambda3, w, cuts):
+    """The subproblem objective at (w, cuts), original coordinates: the hinge
+    terms ``terms`` of the samples ``rows`` at the scores ``X @ w`` and the
+    per-cut values ``cuts``, with the coupling ``lambda3 * (w . anchor)^2``
+    when ``anchor`` is set."""
     quad = 0.5 * float(w @ w)
     if anchor is not None and lambda3 > 0.0:
         quad += lambda3 * float(w @ anchor) ** 2
-    return quad + penalty * _slacks(terms, X @ w, cuts)
+    return quad + penalty * hinge_sum((X @ w)[rows], terms.tau, cuts[terms.cut])
 
 
 def _build_terms(ranks, genders, num_ranks, split):
-    """Hinge terms and cut bookkeeping for the reduced problem."""
+    """The sample row of each hinge term of the reduced problem and its
+    :class:`~genage.smo.HingeTerms`."""
     n_cuts_per = num_ranks - 1
     k = np.asarray(ranks, dtype=int)
     # per sample, the term below cut k then the term above cut k-1: the flat
@@ -81,25 +65,13 @@ def _build_terms(ranks, genders, num_ranks, split):
     else:
         chains = (tuple(range(n_cuts_per)),)
         n_cuts = n_cuts_per
-    return rows, taus, cuts, n_cuts, chains
+    rows.setflags(write=False)
+    return rows, hinge_terms(taus, cuts, n_cuts, chains)
 
 
 # the ladder kinds a fit solves: the classifier (two ranks, male above
 # female), one ladder shared by both genders, and one ladder per gender
 _CLASSIFIER, _SHARED, _SPLIT = "classifier", "shared", "split"
-
-
-@dataclass(frozen=True)
-class _Terms:
-    """Hinge terms of one ladder kind and, for a dataset's stored ones, the
-    solver's layout of them."""
-
-    rows: np.ndarray
-    taus: np.ndarray
-    cut_ids: np.ndarray
-    n_cuts: int
-    chains: tuple
-    layout: _Layout = None
 
 
 def _kind_args(ds: Dataset, kind):
@@ -110,7 +82,7 @@ def _kind_args(ds: Dataset, kind):
 
 
 def _derive_terms(ds: Dataset, kind):
-    """Check that ``ds`` can pose a subproblem of ``kind`` and build its :class:`_Terms`."""
+    """Check that ``ds`` can pose a subproblem of ``kind`` and build its terms."""
     ranks, genders, num_ranks, split = args = _kind_args(ds, kind)
     if kind == _CLASSIFIER:
         if np.all(genders == MALE) or np.all(genders == FEMALE):
@@ -126,28 +98,25 @@ def _derive_terms(ds: Dataset, kind):
                 )
     elif np.unique(ranks).size < 2:
         raise InsufficientRanks("samples span a single rank; nothing to order")
-    rows, taus, cut_ids, n_cuts, chains = _build_terms(*args)
-    for arr in (rows, taus, cut_ids):
-        arr.setflags(write=False)
-    return _Terms(rows, taus, cut_ids, n_cuts, chains, _layout(taus, cut_ids, n_cuts, chains))
+    return _build_terms(*args)
 
 
 def _terms(ds: Dataset, kind):
-    """``ds``'s :class:`_Terms` of ``kind``, kept in the dataset's store from
-    the first call whose checks pass: ``SingleClassInput`` for a classifier
-    that lacks a class or any class contrast, ``InsufficientRanks`` for
-    ladders over fewer than two distinct ranks."""
+    """``ds``'s sample rows and :class:`~genage.smo.HingeTerms` of ``kind``,
+    kept in the dataset's store from the first call whose checks pass:
+    ``SingleClassInput`` for a classifier that lacks a class or any class
+    contrast, ``InsufficientRanks`` for ladders over fewer than two distinct
+    ranks."""
     return ds._derived(kind, lambda: _derive_terms(ds, kind))
 
 
 def _loss_terms(ds: Dataset, kind):
     """:func:`_terms`, for evaluating a loss, which needs no check: on a
-    dataset that fails the kind's check they are built without a layout and
-    not stored."""
+    dataset that fails the kind's check they are built and not stored."""
     try:
         return _terms(ds, kind)
     except (SingleClassInput, InsufficientRanks):
-        return _Terms(*_build_terms(*_kind_args(ds, kind)))
+        return _build_terms(*_kind_args(ds, kind))
 
 
 def _pose_problem(ds, kind, penalty, anchor, lambda3):
@@ -156,7 +125,7 @@ def _pose_problem(ds, kind, penalty, anchor, lambda3):
     and the whitening map, which also maps the solved direction back."""
     if penalty < 0 or lambda3 < 0:
         raise ValueError("the hinge weight and lambda3 must be nonnegative")
-    terms = _terms(ds, kind)
+    rows, terms = _terms(ds, kind)
     X = ds.features
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
@@ -165,16 +134,7 @@ def _pose_problem(ds, kind, penalty, anchor, lambda3):
                 f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
             )
     shrink = rank1_shrink(anchor, lambda3)
-    prob = HingeProblem(
-        z=shrink(X)[terms.rows],
-        tau=terms.taus,
-        cut=terms.cut_ids,
-        n_cuts=terms.n_cuts,
-        chains=terms.chains,
-        penalty=float(penalty),
-        layout=terms.layout,
-    )
-    return prob, shrink
+    return HingeProblem(shrink(X)[rows], terms, float(penalty)), shrink
 
 
 def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=True, tol=1e-6):

@@ -112,6 +112,7 @@ def _bins(cuts):
     return lows, highs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite feature raises NonFiniteFeature at the end
 def generate(cfg: SynthConfig) -> Dataset:
     """Draw the configured dataset; bit-identical for identical configs."""
     _check(cfg)

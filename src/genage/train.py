@@ -51,8 +51,8 @@ def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male,
     cuts = ladder_male.cuts if shared else np.concatenate((ladder_male.cuts, ladder_female.cuts))
     clf = _loss_terms(ds, _CLASSIFIER)
     ordinal = _loss_terms(ds, _SHARED if shared else _SPLIT)
-    return (_objective(clf, X, hyper.lambda1, None, 0.0, w_g, np.array([-float(b_g)]))
-            + _objective(ordinal, X, hyper.lambda2, w_g, hyper.lambda3, w_a, cuts))
+    return (_objective(*clf, X, hyper.lambda1, None, 0.0, w_g, np.array([-float(b_g)]))
+            + _objective(*ordinal, X, hyper.lambda2, w_g, hyper.lambda3, w_a, cuts))
 
 
 def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:

@@ -1,9 +1,11 @@
-"""Independent reference solvers used to verify the production solvers.
+"""Independent references used to verify the production solvers and losses.
 
 Both subproblems are posed as dense convex QPs over (w, cuts, slacks) and
 handed to generic scipy minimizers; nothing here shares code with the
 package's own dual-ascent path.  Returned objectives are evaluated through
 the slack-free hinge form, so any feasible iterate yields a valid value.
+The subproblem losses are also written as loops over the samples, which
+share no code with the package's hinge-term builder.
 """
 
 import numpy as np
@@ -101,6 +103,38 @@ def svor_oracle(X, ranks, genders, num_ranks, lam2, anchor, lam3, split):
         chains = (tuple(range(per)),)
         n_cuts = per
     return hinge_qp_oracle(X, anchor, lam3, lam2, terms, n_cuts, chains)
+
+
+def loop_hinge(X, y, w, b):
+    """The classifier hinge total, written sample by sample."""
+    return sum(max(0.0, 1.0 - label * (x @ w + b)) for x, label in zip(X, y))
+
+
+def loop_slacks(scores, ranks, genders, cuts_male, cuts_female):
+    """The ordinal slack total, written sample by sample."""
+    total = 0.0
+    for score, k, g in zip(scores, ranks, genders):
+        cuts = cuts_male if g == 1 else cuts_female
+        if k <= len(cuts):
+            total += max(0.0, 1.0 + score - cuts[k - 1])
+        if k >= 2:
+            total += max(0.0, 1.0 - score + cuts[k - 2])
+    return total
+
+
+def loop_quadratic(w, anchor, lam3):
+    """0.5 |w|^2 plus the coupling lam3 * (w . anchor)^2, none without an anchor."""
+    return 0.5 * w @ w + (0.0 if anchor is None else lam3 * (w @ anchor) ** 2)
+
+
+def loop_svm_objective(X, y, lam1, anchor, lam3, w, b):
+    """The classifier subproblem objective at (w, b) through :func:`loop_hinge`."""
+    return loop_quadratic(w, anchor, lam3) + lam1 * loop_hinge(X, y, w, b)
+
+
+def loop_svor_objective(X, ranks, genders, lam2, anchor, lam3, w, cuts_male, cuts_female):
+    """The ordinal subproblem objective at (w, ladders) through :func:`loop_slacks`."""
+    return loop_quadratic(w, anchor, lam3) + lam2 * loop_slacks(X @ w, ranks, genders, cuts_male, cuts_female)
 
 
 def subgradient_svm_oracle(X, y, lam1, anchor, lam3, iters=200000):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genage import GenAgeModel, SynthConfig, ThresholdLadder, Variant, generate
+from genage import GenAgeModel, SynthConfig, ThresholdLadder, Variant, generate, run_experiment
 from genage.cli import _atomic_write, export_csv, ingest_csv, main, model_from_dict, model_to_dict
-from genage.errors import ParseError
+from genage.errors import BadConfig, ParseError
 from genage.train import predict_batch
 
 
@@ -356,10 +356,24 @@ def test_listed_cut_centers_generate_the_same_bytes(tmp_path, monkeypatch):
 
 def test_evaluate_rejects_an_unknown_method(tmp_path, capsys):
     out = tmp_path / "r.json"
-    code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", "tt,foo",
-                 "--runs", "1", "--train-per-rank", "8", "--out", str(out)])
-    assert code == 1
-    assert "'foo'" in capsys.readouterr().err
+    # a method listed twice would be fitted and counted twice
+    for variants, named in (("tt,foo", "'foo'"), ("direct,tt,direct", "'direct' is listed more than once")):
+        code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", variants,
+                     "--runs", "1", "--train-per-rank", "8", "--out", str(out)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_evaluate_rejects_fewer_than_one_run(tmp_path, capsys, runs):
+    with pytest.raises(BadConfig, match=f"runs must be at least 1, got {runs}"):
+        run_experiment(SynthConfig(samples_per_cell=8, dim=4), ["tt"], train_per_rank=8, runs=runs)
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", "tt",
+                 f"--runs={runs}", "--train-per-rank", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err == f"genage: error: runs must be at least 1, got {runs}\n"
     assert not out.exists()
 
 
@@ -527,3 +541,117 @@ def test_fit_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, capsys
     else:
         assert code == 1 and err.startswith("genage: error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+def assert_one_error_line_and_no_file(code, err, out):
+    assert code == 1 and err.startswith("genage: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# small sizes, and mistyped values that the type check turns away before any allocation
+sizes = st.one_of(st.integers(-1, 4), st.sampled_from([2.5, "3", None, True, [3]]))
+mistyped = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-10**400, 10**400),
+                     st.lists(st.floats(-3, 3), max_size=2))
+
+
+def draw_synth_payload(data, numbers):
+    """A synth config of at most 2 * 4 * 20 samples in at most 8 dimensions
+    with up to two keys dropped, replaced or added, or now and then another
+    JSON value; ``numbers`` draws the float fields and the cut centres."""
+    values = {"dim": st.one_of(sizes, st.just(8)), "num_ranks": sizes,
+              "samples_per_cell": st.one_of(sizes, st.just(20)),
+              "gender_gap": st.one_of(numbers, mistyped), "discrepancy": st.one_of(numbers, mistyped),
+              "noise_sigma": st.one_of(numbers, mistyped),
+              "male_cut_centers": st.one_of(st.lists(numbers, max_size=4), mistyped),
+              "seed": st.one_of(st.integers(-2, 2**70), mistyped), "not_a_field": st.just(1)}
+    payload = {"dim": 3, "num_ranks": 3, "samples_per_cell": 6, "male_cut_centers": [-1.0, 1.0],
+               "discrepancy": 1.0, "seed": 5}
+    for _ in range(data.draw(st.integers(0, 2))):
+        key = data.draw(st.sampled_from(sorted(values)))
+        if data.draw(st.booleans()):
+            payload[key] = data.draw(values[key])
+        else:
+            payload.pop(key, None)
+    return payload if data.draw(st.integers(0, 9)) else data.draw(json_scalars)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_generate_exits_zero_or_with_an_error_line_on_mutated_configs(tmp_path, capsys, data):
+    payload = draw_synth_payload(data, st.one_of(st.floats(), st.floats(-5, 5)))
+    seed = data.draw(st.sampled_from([[], ["--seed=-1"], ["--seed=7"], [f"--seed={2**70}"]]))
+    config = write(tmp_path / "synth.json", json.dumps(payload))
+    out = tmp_path / "d.csv"
+    out.unlink(missing_ok=True)
+    code = main(["generate", "--config", config, *seed, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        cfg = SynthConfig(**{key: tuple(v) if type(v) is list else v for key, v in payload.items()})
+        assert err == "" and ingest_csv(str(out)).n == 2 * cfg.num_ranks * cfg.samples_per_cell
+    else:
+        assert_one_error_line_and_no_file(code, err, out)
+
+
+def draw_data_csv(data, tmp_path):
+    """A synthetic CSV of two features and three ranks, 12 to 48 rows, with
+    up to two rows replaced by a drawn one."""
+    path = tmp_path / "d.csv"
+    cfg = SynthConfig(dim=2, num_ranks=3, male_cut_centers=(-1.0, 1.0), discrepancy=1.0,
+                      samples_per_cell=data.draw(st.integers(2, 8)), seed=data.draw(st.integers(0, 3)))
+    export_csv(generate(cfg), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        lines[data.draw(st.integers(1, len(lines) - 1))] = data.draw(st.one_of(good_rows, bad_rows))
+    return write(path, "\n".join(lines) + "\n")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_evaluate_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, capsys, data):
+    if data.draw(st.booleans()):
+        payload = draw_synth_payload(data, st.one_of(st.floats(-5, 5), st.sampled_from([np.nan, np.inf])))
+        source = ["--config", write(tmp_path / "synth.json", json.dumps(payload))]
+    else:
+        source = ["--data", draw_data_csv(data, tmp_path)]
+    variants = ",".join(data.draw(st.lists(st.sampled_from(["tt", "direct", "2step", "st", "pls", " TT", "", "foo"]),
+                                           min_size=1, max_size=3)))
+    runs = data.draw(st.sampled_from([1, 2, 3, 0, -1]))
+    train_per_rank = data.draw(st.sampled_from([4, 8, 2, 0, -1]))
+    flags = list(data.draw(hyper_flags))
+    out = tmp_path / "r.json"
+    out.unlink(missing_ok=True)
+    code = main(["evaluate", *source, f"--variants={variants}", f"--runs={runs}",
+                 f"--train-per-rank={train_per_rank}", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert err == "" and payload["protocol"]["runs"] == runs
+        assert all(len(report["per_run"]) == runs for report in payload["methods"].values())
+    else:
+        assert_one_error_line_and_no_file(code, err, out)
+
+
+grid_values = st.one_of(st.lists(st.sampled_from(["10", "1e-3", "0", "1e3"]), min_size=1, max_size=2),
+                        st.lists(st.sampled_from(["10", "-1", "nan", "inf", "1e400", "x", ""]), min_size=1,
+                                 max_size=2)).map(",".join)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cv_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, capsys, data):
+    data_path = draw_data_csv(data, tmp_path)
+    grids = [f"--lambda{i}-grid={values}"
+             for i, values in data.draw(st.dictionaries(st.integers(1, 3), grid_values, max_size=2)).items()]
+    folds = data.draw(st.sampled_from([3, 2, 4, 1, 0, -1]))
+    flags = [flag for flag in data.draw(hyper_flags) if flag.startswith(("--tmax", "--tol"))]
+    variant = data.draw(st.sampled_from([v.value for v in Variant]))
+    out = tmp_path / "cv.json"
+    out.unlink(missing_ok=True)
+    code = main(["cv", "--data", data_path, "--variant", variant, f"--folds={folds}", *grids, *flags,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert err == "" and all(len(row["fold_mae"]) == folds for row in payload["table"])
+    else:
+        assert_one_error_line_and_no_file(code, err, out)

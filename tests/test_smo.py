@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genage import HyperParams, SynthConfig, TrainConfig, fit, generate, smo, solve_svm, solve_svor, svor
+from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate, smo, solve_svm, solve_svor, svor
 from genage.errors import NonConvergence
 from genage.smo import _BOUND_SLACK, _face_step, _ipm_warm_start, _shrink_coefficient
 
@@ -39,7 +39,7 @@ def random_hinge_problem(seed):
         cut, n_cuts = new_id[cut], int(new_id[-1] + 1 + gaps[-1])
         runs = np.split(np.arange(n_cuts), np.flatnonzero(rng.random(n_cuts - 1) < 0.3) + 1)
         chains = tuple(tuple(int(j) for j in run) for run in runs)
-    return smo.HingeProblem(z, tau, cut, n_cuts, chains, lam)
+    return smo.HingeProblem(z, smo.hinge_terms(tau, cut, n_cuts, chains), lam)
 
 
 def solve_keeping_duals(prob, monkeypatch, tol=1e-6):
@@ -55,37 +55,39 @@ def assert_certified_chained_optimum(prob, sol, beta, tol=1e-6):
     along a chain, >= 0, each chain and each unchained cut balanced), the
     cuts are sorted along every chain, and the primal value at the returned
     (v, cuts) exceeds the dual value of the duals by at most tol."""
-    lam, slack = prob.penalty, _BOUND_SLACK * prob.penalty
+    lam, slack, terms = prob.penalty, _BOUND_SLACK * prob.penalty, prob.terms
     assert np.all(beta >= 0.0) and np.all(beta <= lam)
-    balances = np.bincount(prob.cut, prob.tau * beta, prob.n_cuts)
-    unchained = np.ones(prob.n_cuts, dtype=bool)
-    for chain in prob.chains:
-        sums = np.cumsum(balances[list(chain)])
+    balances = np.bincount(terms.cut, terms.tau * beta, terms.n_cuts)
+    unchained = np.ones(terms.n_cuts, dtype=bool)
+    for chain in terms.chains:
+        sums = np.cumsum(balances[chain])
         assert sums.min() >= -slack
         assert abs(sums[-1]) <= slack
-        assert np.all(np.diff(sol.cuts[list(chain)]) >= 0.0)
-        unchained[list(chain)] = False
+        assert np.all(np.diff(sol.cuts[chain]) >= 0.0)
+        unchained[chain] = False
     assert np.abs(balances[unchained]).max(initial=0.0) <= slack
-    margins = 1.0 + prob.tau * (prob.z @ sol.v - sol.cuts[prob.cut])
+    margins = 1.0 + terms.tau * (prob.z @ sol.v - sol.cuts[terms.cut])
     primal = 0.5 * sol.v @ sol.v + lam * np.clip(margins, 0.0, None).sum()
     assert abs(primal - sol.objective) <= 1e-9 * (1.0 + abs(primal))
-    v = prob.z.T @ (prob.tau * beta)
+    v = prob.z.T @ (terms.tau * beta)
     assert primal - (beta.sum() - 0.5 * v @ v) <= tol * (1.0 + abs(primal))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
     prob = random_hinge_problem(seed)
+    terms = prob.terms
     beta, iterations = _ipm_warm_start(prob)
     assert np.all(beta >= 0.0) and np.all(beta <= prob.penalty)
-    both = np.bincount(prob.cut, prob.tau > 0, prob.n_cuts) * np.bincount(prob.cut, prob.tau < 0, prob.n_cuts)
+    both = np.bincount(terms.cut, terms.tau > 0, terms.n_cuts) * np.bincount(terms.cut, terms.tau < 0, terms.n_cuts)
     one_sided = both == 0
-    assert np.all(beta[one_sided[prob.cut]] == 0.0)
+    assert np.all(beta[one_sided[terms.cut]] == 0.0)
     solver = smo._DualSolver(prob, warm=beta)
-    balance = np.bincount(prob.cut, prob.tau * solver.duals(), prob.n_cuts)
+    balance = np.bincount(terms.cut, terms.tau * solver.duals(), terms.n_cuts)
     assert np.abs(balance).max() <= 1e-12 * prob.penalty * prob.z.shape[0]
     # the warm start solves the dual without the chains
-    best = smo.solve_hinge_dual(dataclasses.replace(prob, chains=()), tol=1e-7).objective
+    unchained = dataclasses.replace(prob, terms=smo.hinge_terms(terms.tau, terms.cut, terms.n_cuts, ()))
+    best = smo.solve_hinge_dual(unchained, tol=1e-7).objective
     assert best - solver._dual() <= 1e-6 * (1.0 + abs(best))
     if one_sided.all():
         assert iterations == 0 and not beta.any()
@@ -113,7 +115,7 @@ def test_warm_start_iterations_on_the_default_protocol(seed, variant, monkeypatc
     balanced-ray start took 27-31 on the shared ladders."""
     handed = record_warm_starts(monkeypatch)
     fit(generate(SynthConfig(discrepancy=2.0, seed=seed)), TrainConfig(hyper=HyperParams(variant=variant)))
-    assert {prob.n_cuts for prob, _, _ in handed} == ({1, 4, 8} if variant == "tt" else {1, 4})
+    assert {prob.terms.n_cuts for prob, _, _ in handed} == ({1, 4, 8} if variant == "tt" else {1, 4})
     assert max(iterations for _, _, iterations in handed) <= 16
 
 
@@ -143,13 +145,23 @@ def test_warm_start_from_degenerate_features_raises_no_warning(features):
     rng = np.random.default_rng(3)
     z = {"zero": np.zeros((60, 4)), "constant": np.full((60, 1), 2.5),
          "tiny": 1e-6 * rng.normal(size=(60, 4))}[features]
-    prob = smo.HingeProblem(z, rng.choice([-1.0, 1.0], 60), rng.integers(0, 3, 60), 3, ((0, 1, 2),), 10.0)
+    prob = smo.HingeProblem(z, smo.hinge_terms(rng.choice([-1.0, 1.0], 60), rng.integers(0, 3, 60), 3, ((0, 1, 2),)),
+                            10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         beta, iterations = _ipm_warm_start(prob)
         sol = smo.solve_hinge_dual(prob)
     assert iterations > 0 and np.all(np.isfinite(beta))
     assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
+
+
+def test_features_near_the_smallest_normal_float_fit_without_warning():
+    """Three samples at 7.5e-289 beside 0 and 1: the polish's step length to
+    the box divides by every dual's step, also by the steps below 1e-300
+    whose quotients it discards, and those overflowed."""
+    tiny = 7.497207146473134e-289
+    ds = Dataset([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]] + [[tiny, 0.0]] * 3, [1, -1, 1, 1, 1, 1], [2, 2, 3, 1, 1, 1])
+    fit(ds, TrainConfig(hyper=HyperParams(variant="direct")))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -162,7 +174,7 @@ def test_solves_certify_their_gap_from_feasible_chained_duals(seed, monkeypatch)
 @pytest.mark.parametrize("chains", [((0, 2),), ((1, 0),), ((0, 1), (1, 2)), ((2, 3),), ((),), ((-1, 0),)])
 def test_malformed_chains_are_rejected(chains):
     with pytest.raises(ValueError, match="not a run of consecutive ascending cut ids"):
-        smo.HingeProblem(np.ones((2, 1)), np.array([1.0, -1.0]), np.array([0, 2]), 3, chains, 1.0)
+        smo.hinge_terms(np.array([1.0, -1.0]), np.array([0, 2]), 3, chains)
 
 
 def test_duals_within_the_bound_slack_are_put_on_their_bound():
@@ -171,8 +183,8 @@ def test_duals_within_the_bound_slack_are_put_on_their_bound():
     the sweeps and the polish count those duals as on the bound, so unless
     the solver puts them there nothing moves them and the gap stays open."""
     ds = generate(SynthConfig(discrepancy=2.0, seed=19))
-    prob = smo.HingeProblem(ds.features, -ds.gender.astype(float), np.zeros(ds.features.shape[0], dtype=int),
-                            1, (), 1e4)
+    tau = -ds.gender.astype(float)
+    prob = smo.HingeProblem(ds.features, smo.hinge_terms(tau, np.zeros(tau.size, dtype=int), 1, ()), 1e4)
     solver = smo._DualSolver(prob)
     solver.solve(1e-9)
     optimum = solver.duals()
@@ -182,8 +194,8 @@ def test_duals_within_the_bound_slack_are_put_on_their_bound():
     for _ in range(3):
         warm = optimum.copy()
         warm[zero] = rng.uniform(5e-9, 5e-7, zero.sum())
-        heavy = (prob.tau * np.sign(prob.tau @ warm) > 0) & ~zero & (warm < prob.penalty)
-        warm[heavy] -= (prob.tau @ warm) / prob.tau[heavy].sum()
+        heavy = (tau * np.sign(tau @ warm) > 0) & ~zero & (warm < prob.penalty)
+        warm[heavy] -= (tau @ warm) / tau[heavy].sum()
         sol = smo._DualSolver(prob, warm=warm).solve(1e-6)
         assert sol.gap <= 1e-6 * (1.0 + abs(sol.objective))
 
@@ -205,8 +217,8 @@ def random_hole_problem(rng):
     last = int(rng.integers(first + 1, num_ranks))
     hole = (genders == 1) & (ranks >= first) & (ranks <= last)
     ranks[hole] = rng.choice([1, num_ranks], int(hole.sum()))
-    rows, taus, cuts, n_cuts, chains = svor._build_terms(ranks, genders, num_ranks, True)
-    return smo.HingeProblem(X[rows], taus, cuts, n_cuts, chains, float(10.0 ** rng.uniform(-2.0, 3.0)))
+    rows, terms = svor._build_terms(ranks, genders, num_ranks, True)
+    return smo.HingeProblem(X[rows], terms, float(10.0 ** rng.uniform(-2.0, 3.0)))
 
 
 def test_split_ladders_with_empty_cuts_solve_to_certified_sorted_ladders(monkeypatch):
@@ -235,7 +247,7 @@ def test_a_tie_opens_and_closes_again_within_one_solve(monkeypatch):
     joined = np.array(joined)
     assert not joined[0].any()  # the warm start balances every cut on its own
     opened = joined.argmax(axis=0)
-    assert any(joined[:, k].any() and not joined[opened[k]:, k].all() for k in range(prob.n_cuts))
+    assert any(joined[:, k].any() and not joined[opened[k]:, k].all() for k in range(prob.terms.n_cuts))
 
 
 # --------------------------------------------------- rank-one whitening

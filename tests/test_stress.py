@@ -17,7 +17,9 @@ import pytest
 import genage.svm
 import genage.svor
 import genage.train
-from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate, svm_objective, svor_objective
+from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate
+
+from _oracles import loop_svm_objective, loop_svor_objective
 
 WALL_BOUND_S = 10.0
 
@@ -153,21 +155,22 @@ def test_huge_hinge_weights_certify_through_the_zero_dual_restart(monkeypatch):
 
 def fit_recomputing_objectives(ds, hyper, monkeypatch):
     """Fit ``ds``; return (reported, recomputed) per subproblem solve, where
-    the second is the objective evaluated at the solution's point."""
+    the second is the objective evaluated at the solution's point by a loop
+    over the samples."""
     pairs = []
     solve_svm, solve_svor = genage.train.solve_svm, genage.train.solve_svor
 
     def svm(ds, lambda1, anchor=None, lambda3=0.0, **kw):
         sol = solve_svm(ds, lambda1, anchor=anchor, lambda3=lambda3, **kw)
         pairs.append((sol.objective,
-                      svm_objective(ds.features, ds.gender, lambda1, anchor, lambda3, sol.w, sol.b)))
+                      loop_svm_objective(ds.features, ds.gender, lambda1, anchor, lambda3, sol.w, sol.b)))
         return sol
 
     def svor(ds, lambda2, anchor=None, lambda3=0.0, **kw):
         sol = solve_svor(ds, lambda2, anchor=anchor, lambda3=lambda3, **kw)
         pairs.append((sol.objective,
-                      svor_objective(ds.features, ds.age_rank, ds.gender, lambda2, anchor, lambda3,
-                                     sol.w, sol.ladder_male, sol.ladder_female)))
+                      loop_svor_objective(ds.features, ds.age_rank, ds.gender, lambda2, anchor, lambda3,
+                                          sol.w, sol.ladder_male.cuts, sol.ladder_female.cuts)))
         return sol
 
     monkeypatch.setattr(genage.train, "solve_svm", svm)

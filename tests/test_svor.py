@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from genage import (Dataset, HyperParams, ThresholdLadder, objective_value, predict_ranks, solve_svm, solve_svor,
-                    svm_objective, svor, svor_objective)
+from genage import Dataset, HyperParams, ThresholdLadder, objective_value, predict_ranks, solve_svm, solve_svor, svor
 from genage.errors import InsufficientRanks, SingleClassInput
 
-from _oracles import random_svor_holes_instance, random_svor_instance, svor_oracle
+from _oracles import (loop_svm_objective, loop_svor_objective, random_svor_holes_instance, random_svor_instance,
+                      svor_oracle)
 
 # reference optimum for the two-gender, three-rank line example below
 LINE_EXAMPLE_OBJ = 0.5
@@ -154,19 +154,20 @@ def test_a_failed_check_stores_nothing_and_raises_again():
             solve_svm(one_class, 1.0)
         assert one_class._store == {}
     # a loss needs no check: on split ladders it builds the terms and stores none
-    ladders = ThresholdLadder([0.0]), ThresholdLadder([1.0])
-    value = objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), *ladders)
-    assert value == pytest.approx(svm_objective(ds.features, ds.gender, 10.0, None, 0.0, np.ones(1), 0.0)
-                                  + svor_objective(ds.features, ds.age_rank, ds.gender, 10.0, np.ones(1),
-                                                   1000.0, np.ones(1), *ladders), rel=1e-15)
+    value = objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), ThresholdLadder([0.0]),
+                            ThresholdLadder([1.0]))
+    assert value == pytest.approx(loop_svm_objective(ds.features, ds.gender, 10.0, None, 0.0, np.ones(1), 0.0)
+                                  + loop_svor_objective(ds.features, ds.age_rank, ds.gender, 10.0, np.ones(1),
+                                                        1000.0, np.ones(1), [0.0], [1.0]), rel=1e-15)
     assert svor._SPLIT not in ds._store
     # the kinds whose checks pass are kept, and the solve after them poses the same terms
     solve_svor(ds, 1.0, split_thresholds=False)
     assert sorted(ds._store) == [svor._CLASSIFIER, svor._SHARED]
-    terms = ds._store[svor._SHARED]
-    assert not any(arr.flags.writeable for arr in (terms.rows, terms.taus, terms.cut_ids, terms.layout.perm))
+    entry = ds._store[svor._SHARED]
+    rows, terms = entry
+    assert not any(arr.flags.writeable for arr in (rows, terms.tau, terms.cut, terms.perm, terms.keep))
     solve_svor(ds, 2.0, split_thresholds=False)
-    assert ds._store[svor._SHARED] is terms
+    assert ds._store[svor._SHARED] is entry
 
 
 def test_negative_weights_rejected():
@@ -214,8 +215,8 @@ def test_terms_match_the_per_sample_loop_in_order(seed, split):
     ranks = rng.integers(1, num_ranks + 1, n)
     if seed % 2:
         ranks[(genders == 1) & (ranks == (num_ranks + 1) // 2)] = 1  # a middle rank missing for males
-    rows, taus, cuts, n_cuts, chains = svor._build_terms(ranks, genders, num_ranks, split)
+    rows, terms = svor._build_terms(ranks, genders, num_ranks, split)
     want = reference_terms(ranks, genders, num_ranks, split)
-    for got, ref in zip((rows, taus, cuts), want):
+    for got, ref in zip((rows, terms.tau, terms.cut), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert n_cuts == (2 if split else 1) * (num_ranks - 1) and len(chains) == (2 if split else 1)
+    assert terms.n_cuts == (2 if split else 1) * (num_ranks - 1) and len(terms.chains) == (2 if split else 1)

@@ -14,7 +14,7 @@ from genage import (
     solve_svm,
     true_directions,
 )
-from genage.errors import BadConfig
+from genage.errors import BadConfig, NonFiniteFeature
 
 
 def test_determinism_is_bit_exact():
@@ -109,6 +109,14 @@ def test_bad_configs_rejected():
         generate(SynthConfig(num_ranks=1, male_cut_centers=()))
     with pytest.raises(BadConfig):
         generate(SynthConfig(samples_per_cell=0))
+
+
+@pytest.mark.parametrize("changes", [{"discrepancy": np.inf}, {"gender_gap": np.inf}, {"noise_sigma": np.nan},
+                                     {"noise_sigma": 1e308}, {"male_cut_centers": (-np.inf, 0.0, 1.0, 2.0)}])
+def test_settings_that_give_non_finite_features_raise_a_typed_error(changes):
+    # a RuntimeWarning on the way, an inf - inf or an overflow, fails the test too
+    with pytest.raises(NonFiniteFeature):
+        generate(SynthConfig(samples_per_cell=2, **changes))
 
 
 @pytest.mark.parametrize("field, value, kind", [

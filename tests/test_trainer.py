@@ -15,13 +15,12 @@ from genage import (
     generate,
     objective_value,
     predict,
-    ordinal_slacks,
     predict_batch,
     solve_svm,
-    svm_objective,
-    svor_objective,
 )
 from genage.errors import BadGenderLabel, DegenerateGender, DimensionMismatch
+
+from _oracles import loop_hinge, loop_slacks
 
 
 def hyper(lam3=1000.0, variant=Variant.TT, **kw):
@@ -223,23 +222,11 @@ def test_coupling_term_scales_linearly_in_lambda3():
         assert value - base == pytest.approx(lam3 * coupling, rel=1e-12)
 
 
-def loop_slacks(scores, ranks, genders, cuts_male, cuts_female):
-    """The ordinal slack total, written sample by sample."""
-    total = 0.0
-    for score, k, g in zip(scores, ranks, genders):
-        cuts = cuts_male if g == 1 else cuts_female
-        if k <= len(cuts):
-            total += max(0.0, 1.0 + score - cuts[k - 1])
-        if k >= 2:
-            total += max(0.0, 1.0 - score + cuts[k - 2])
-    return total
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_each_loss_matches_a_per_sample_loop(seed):
-    """Random states with a nonzero bias, different ladders per gender and a
-    coupling anchor, on data with ranks 1 and K and no female of the middle
-    rank."""
+    """objective_value against loops over the samples: random states with a
+    nonzero bias, different ladders per gender and a nonzero coupling, on
+    data with ranks 1 and K and no female of the middle rank."""
     rng = np.random.default_rng(seed)
     num_ranks, n, d = 5, 80, 4
     genders = rng.choice([1, -1], n)
@@ -248,27 +235,30 @@ def test_each_loss_matches_a_per_sample_loop(seed):
     ranks[(genders == -1) & (ranks == 3)] = 2
     ds = Dataset(rng.normal(size=(n, d)), genders, ranks, num_ranks=num_ranks)
     X = ds.features
-    w_g, w_a, anchor = rng.normal(size=(3, d))
+    w_g, w_a = rng.normal(size=(2, d))
     b_g = float(rng.normal())
     cuts_male, cuts_female = np.sort(rng.normal(scale=2.0, size=(2, num_ranks - 1)), axis=1)
     ladder_male, ladder_female = ThresholdLadder(cuts_male), ThresholdLadder(cuts_female)
     hp = HyperParams(lambda1=3.0, lambda2=5.0, lambda3=7.0)
 
-    hinge = sum(max(0.0, 1.0 - y * (x @ w_g + b_g)) for x, y in zip(X, genders))
+    hinge = loop_hinge(X, genders, w_g, b_g)
     slacks = loop_slacks(X @ w_a, ranks, genders, cuts_male, cuts_female)
+    shared_slacks = loop_slacks(X @ w_a, ranks, genders, cuts_male, cuts_male)
     assert ranks[genders == -1].tolist().count(3) == 0 and hinge > 0.0 and slacks > 0.0
 
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    close(ordinal_slacks(X @ w_a, ranks, genders, ladder_male, ladder_female), slacks)
-    close(svor_objective(X, ranks, genders, hp.lambda2, anchor, hp.lambda3, w_a, ladder_male, ladder_female),
-          0.5 * w_a @ w_a + hp.lambda3 * (w_a @ anchor) ** 2 + hp.lambda2 * slacks)
-    close(svm_objective(X, genders.astype(float), hp.lambda1, anchor, hp.lambda3, w_g, b_g),
-          0.5 * w_g @ w_g + hp.lambda3 * (w_g @ anchor) ** 2 + hp.lambda1 * hinge)
+    quad = 0.5 * w_g @ w_g + 0.5 * w_a @ w_a + hp.lambda3 * (w_g @ w_a) ** 2
+    # each loss alone, then both, on split ladders and on one shared ladder
+    close(objective_value(ds, hp.replace(lambda2=0.0), w_g, b_g, w_a, ladder_male, ladder_female),
+          quad + hp.lambda1 * hinge)
+    close(objective_value(ds, hp.replace(lambda1=0.0), w_g, b_g, w_a, ladder_male, ladder_female),
+          quad + hp.lambda2 * slacks)
     close(objective_value(ds, hp, w_g, b_g, w_a, ladder_male, ladder_female),
-          0.5 * w_g @ w_g + hp.lambda1 * hinge + 0.5 * w_a @ w_a + hp.lambda2 * slacks
-          + hp.lambda3 * (w_g @ w_a) ** 2)
+          quad + hp.lambda1 * hinge + hp.lambda2 * slacks)
+    close(objective_value(ds, hp, w_g, b_g, w_a, ladder_male, ladder_male),
+          quad + hp.lambda1 * hinge + hp.lambda2 * shared_slacks)
 
 
 def test_model_objective_matches_trace_tail():
