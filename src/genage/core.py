@@ -127,15 +127,6 @@ class Dataset:
     def dim(self):
         return self.features.shape[1]
 
-    def counts(self):
-        """Per-gender, per-rank sample counts as a dict {(gender, rank): count}."""
-        out = {}
-        for g in (MALE, FEMALE):
-            mask = self.gender == g
-            for k in range(1, self.num_ranks + 1):
-                out[(g, k)] = int(np.sum(mask & (self.age_rank == k)))
-        return out
-
     def subset(self, indices):
         """A new dataset holding the given rows; keeps K and the year map."""
         idx = np.asarray(indices, dtype=int)

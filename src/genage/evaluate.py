@@ -7,11 +7,18 @@ method is fit, and mean absolute rank error is reported for the whole test
 set and per true gender, together with the gender accuracy, the angle
 between the two learned directions, and the spread of the threshold
 ladders.  Everything is deterministic given the seed.
+
+Folds and splits both walk the (gender, rank) cells in one stable sort of
+the rows, males first and ranks ascending (:func:`_cell_order`); both
+cross-validation routines walk the folds through :func:`_fold_pairs`.  A
+metric that one run leaves undefined (the MAE of a gender its test side
+lacks, the angle of a zero direction) is left out of that run's record and
+of the report's mean and std, so every report is strict JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -53,17 +60,18 @@ def angle_deg(u, v):
 
 # --------------------------------------------------------------------- folds
 
+def _cell_order(ds: Dataset):
+    """Row indices sorted stably by cell: males before females, ranks ascending."""
+    return np.lexsort((ds.age_rank, -ds.gender))
+
+
 def stratified_folds(ds: Dataset, folds):
-    """Deterministic round-robin fold assignment within each gender/rank cell."""
+    """Deterministic round-robin fold assignment: the p-th row in cell order
+    goes to fold ``p % folds``, so every cell is spread over the folds."""
     if folds < 2:
         raise InfeasibleFolds("at least two folds are required")
     assignment = np.empty(ds.n, dtype=int)
-    offset = 0
-    for gender in (MALE, FEMALE):
-        for rank in range(1, ds.num_ranks + 1):
-            idx = np.flatnonzero((ds.gender == gender) & (ds.age_rank == rank))
-            assignment[idx] = (np.arange(idx.size) + offset) % folds
-            offset += idx.size
+    assignment[_cell_order(ds)] = np.arange(ds.n) % folds
     out = [np.flatnonzero(assignment == f) for f in range(folds)]
     for f, val_idx in enumerate(out):
         if val_idx.size == 0:
@@ -78,6 +86,13 @@ def stratified_folds(ds: Dataset, folds):
     return out
 
 
+def _fold_pairs(ds: Dataset, folds):
+    """Each fold's (train, test) subsets, one pair at a time."""
+    all_idx = np.arange(ds.n)
+    for val in stratified_folds(ds, folds):
+        yield ds.subset(np.setdiff1d(all_idx, val)), ds.subset(val)
+
+
 def cross_validate(ds: Dataset, grid, folds=5):
     """Exhaustive grid search by mean validation rank MAE.
 
@@ -90,12 +105,9 @@ def cross_validate(ds: Dataset, grid, folds=5):
         raise EmptyInput("empty hyperparameter grid")
     configs = [TrainConfig(hyper=hp) for hp in candidates]
     scores = [[] for _ in candidates]
-    all_idx = np.arange(ds.n)
-    # folds outside, grid inside: one subset pair per fold, and the grid's
-    # fits of a fold share their gender-blind init through its store
-    for val in stratified_folds(ds, folds):
-        train = ds.subset(np.setdiff1d(all_idx, val))
-        test = ds.subset(val)
+    # folds outside, grid inside: the grid's fits of a fold share their
+    # gender-blind init through its training subset's store
+    for train, test in _fold_pairs(ds, folds):
         for row, model in zip(scores, fit_many(train, configs)):
             _, ranks = predict_batch(model, test.features)
             row.append(mae(ranks, test.age_rank))
@@ -119,12 +131,14 @@ def hyper_grid(lambda1s=(10.0,), lambda2s=(10.0,), lambda3s=(10.0, 100.0, 1000.0
 
 @dataclass
 class RunRecord:
+    """One method on one run; a metric the run leaves undefined is None."""
+
     run: int
     mae_mixed: float
-    mae_male: float
-    mae_female: float
+    mae_male: float | None
+    mae_female: float | None
     gender_accuracy: float
-    angle_deg: float
+    angle_deg: float | None
     mae_oracle_routing: float | None = None
     cuts_male: tuple | None = None
     cuts_female: tuple | None = None
@@ -138,6 +152,15 @@ class RunRecord:
         return out
 
 
+# every RunRecord field but the run number and the two ladders is a metric
+_METRICS = tuple(f.name for f in fields(RunRecord) if f.name not in ("run", "cuts_male", "cuts_female"))
+
+
+def _mean_std(values):
+    ddof = 1 if len(values) > 1 else 0
+    return {"mean": float(np.mean(values)), "std": float(np.std(values, ddof=ddof))}
+
+
 @dataclass
 class EvalReport:
     """Aggregated results of one method over repeated splits."""
@@ -149,10 +172,7 @@ class EvalReport:
 
     def _stat(self, name):
         vals = [getattr(r, name) for r in self.records if getattr(r, name) is not None]
-        if not vals:
-            return None
-        ddof = 1 if len(vals) > 1 else 0
-        return {"mean": float(np.mean(vals)), "std": float(np.std(vals, ddof=ddof))}
+        return _mean_std(vals) if vals else None
 
     def _ladder_stats(self):
         out = {}
@@ -162,16 +182,8 @@ class EvalReport:
                 return out
             arr = np.asarray(all_cuts, dtype=float)
             out[f"ladder_{side}_mean"] = [float(v) for v in arr.mean(axis=0)]
-            spreads = arr.max(axis=1) - arr.min(axis=1)
-            ddof = 1 if len(spreads) > 1 else 0
-            out[f"ladder_spread_{side}"] = {
-                "mean": float(spreads.mean()),
-                "std": float(np.std(spreads, ddof=ddof)),
-            }
-        shared = all(
-            r.cuts_male is not None and r.cuts_male == r.cuts_female for r in self.records
-        )
-        if shared and "ladder_spread_male" in out:
+            out[f"ladder_spread_{side}"] = _mean_std(arr.max(axis=1) - arr.min(axis=1))
+        if all(r.cuts_male == r.cuts_female for r in self.records):
             out["ladder_spread_shared"] = out["ladder_spread_male"]
         return out
 
@@ -181,15 +193,7 @@ class EvalReport:
             "runs": self.runs,
             "train_per_rank": self.train_per_rank,
         }
-        for name in (
-            "mae_mixed",
-            "mae_male",
-            "mae_female",
-            "mae_oracle_routing",
-            "mae_mixed_years",
-            "gender_accuracy",
-            "angle_deg",
-        ):
+        for name in _METRICS:
             stat = self._stat(name)
             if stat is not None:
                 out[name] = stat
@@ -205,65 +209,45 @@ class EvalReport:
 def split_train_test(ds: Dataset, train_per_rank, rng):
     """One stratified split; splits the per-rank budget evenly across genders.
 
-    Cells with fewer samples than requested contribute everything they have
-    to the training side (the standard small-cell fallback).
+    Each cell, in cell order, draws one ``rng.permutation`` of its rows and
+    trains on the first ones.  Cells with fewer samples than requested
+    contribute everything they have to the training side (the standard
+    small-cell fallback).
     """
     want_per_cell = max(1, int(round(train_per_rank / 2)))
-    train_idx, test_idx = [], []
-    for gender in (MALE, FEMALE):
-        for rank in range(1, ds.num_ranks + 1):
-            idx = np.flatnonzero((ds.gender == gender) & (ds.age_rank == rank))
-            if idx.size == 0:
-                continue
-            perm = rng.permutation(idx.size)
-            take = min(want_per_cell, idx.size)
-            train_idx.append(idx[perm[:take]])
-            test_idx.append(idx[perm[take:]])
-    train_idx = np.sort(np.concatenate(train_idx))
-    test_idx = np.sort(np.concatenate(test_idx)) if any(t.size for t in test_idx) else np.empty(0, int)
-    if test_idx.size == 0:
+    order = _cell_order(ds)
+    gender, rank = ds.gender[order], ds.age_rank[order]
+    starts = np.flatnonzero((gender[1:] != gender[:-1]) | (rank[1:] != rank[:-1])) + 1
+    train = np.zeros(ds.n, dtype=bool)
+    for cell in np.split(order, starts):
+        train[cell[rng.permutation(cell.size)[:want_per_cell]]] = True
+    if train.all():
         raise InfeasibleFolds("the requested train size leaves no test samples")
-    return ds.subset(train_idx), ds.subset(test_idx)
+    return ds.subset(np.flatnonzero(train)), ds.subset(np.flatnonzero(~train))
 
 
-def _rank_years(ds: Dataset, ranks):
-    years = np.asarray(ds.rank_to_year, dtype=float)
-    return years[np.asarray(ranks, dtype=int) - 1]
+def _record(run, test, genders, ranks, angle, **diagnostics):
+    """The whole record of one method's predictions on one run's test side.
 
-
-def _evaluate_genage(model, test):
-    pred_gender, pred_rank = predict_batch(model, test.features)
-    _, oracle_rank = predict_batch(model, test.features, gender_override=test.gender)
-    rec = _base_record(test, pred_gender, pred_rank)
-    rec.mae_oracle_routing = mae(oracle_rank, test.age_rank)
-    rec.angle_deg = angle_deg(model.w_g, model.w_a)
-    rec.cuts_male = tuple(float(c) for c in model.ladder_male.cuts)
-    rec.cuts_female = tuple(float(c) for c in model.ladder_female.cuts)
-    return rec
-
-
-def _evaluate_pls(train, test):
-    model = fit_pls_dataset(train, select_pls_components(train))
-    pred_gender, pred_rank = predict_pls_batch(model, test.features)
-    rec = _base_record(test, pred_gender, pred_rank)
-    rec.angle_deg = angle_deg(model.coefficients[:, 0], model.coefficients[:, 1])
-    return rec
-
-
-def _base_record(test, pred_gender, pred_rank):
+    ``angle`` holds the method's two directions.  The MAE of a gender the
+    test side lacks and the angle of a zero direction are None.
+    """
     male = test.gender == MALE
+    mae_male, mae_female = (mae(ranks[side], test.age_rank[side]) if side.any() else None for side in (male, ~male))
+    try:
+        degrees = angle_deg(*angle)
+    except ZeroVector:
+        degrees = None
+    years = None if test.rank_to_year is None else np.asarray(test.rank_to_year, dtype=float)
     return RunRecord(
-        run=-1,
-        mae_mixed=mae(pred_rank, test.age_rank),
-        mae_male=mae(pred_rank[male], test.age_rank[male]) if male.any() else float("nan"),
-        mae_female=mae(pred_rank[~male], test.age_rank[~male]) if (~male).any() else float("nan"),
-        gender_accuracy=float(np.mean(pred_gender == test.gender)),
-        angle_deg=float("nan"),
-        mae_mixed_years=(
-            mae(_rank_years(test, pred_rank), _rank_years(test, test.age_rank))
-            if test.rank_to_year is not None
-            else None
-        ),
+        run=run,
+        mae_mixed=mae(ranks, test.age_rank),
+        mae_male=mae_male,
+        mae_female=mae_female,
+        gender_accuracy=float(np.mean(genders == test.gender)),
+        angle_deg=degrees,
+        mae_mixed_years=None if years is None else mae(years[ranks - 1], years[test.age_rank - 1]),
+        **diagnostics,
     )
 
 
@@ -275,12 +259,8 @@ def select_pls_components(ds: Dataset):
     leading components (:func:`genage.pls.truncate_pls`).
     """
     limit = min(ds.dim, ds.n - 1, PLS_MAX_COMPONENTS)
-    fold_idx = stratified_folds(ds, PLS_FOLDS)
-    all_idx = np.arange(ds.n)
     scores = [[] for _ in range(limit)]
-    for val in fold_idx:
-        train = ds.subset(np.setdiff1d(all_idx, val))
-        test = ds.subset(val)
+    for train, test in _fold_pairs(ds, PLS_FOLDS):
         full = fit_pls_dataset(train, limit)
         for n in range(1, limit + 1):
             _, ranks = predict_pls_batch(truncate_pls(full, n), test.features)
@@ -302,29 +282,37 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0):
     oracle-routing MAE diagnostic, the learned ladders and the direction
     angle.
     """
+    if not methods:
+        raise ValueError(f"no method given, expected one or more of {ALL_METHODS}")
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {ALL_METHODS}")
         if methods.count(m) > 1:
             raise ValueError(f"method {m!r} is listed more than once")
-    if runs < 1:
-        raise BadConfig(f"runs must be at least 1, got {runs}")
+    for name, value in (("runs", runs), ("train_per_rank", train_per_rank)):
+        if value < 1:
+            raise BadConfig(f"{name} must be at least 1, got {value}")
     ds = generate(data) if isinstance(data, SynthConfig) else data
     if hyper is None:
         hyper = HyperParams()
     reports = {m: EvalReport(method=m, runs=runs, train_per_rank=train_per_rank) for m in methods}
     variants = [m for m in methods if m != PLS_METHOD]
     configs = [TrainConfig(hyper=hyper.replace(variant=Variant(m))) for m in variants]
-    root = np.random.SeedSequence(seed)
-    for run, child in enumerate(root.spawn(runs)):
-        rng = np.random.default_rng(child)
-        train, test = split_train_test(ds, train_per_rank, rng)
+    for run, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        train, test = split_train_test(ds, train_per_rank, np.random.default_rng(child))
         models = dict(zip(variants, fit_many(train, configs)))
         for method in methods:
             if method == PLS_METHOD:
-                rec = _evaluate_pls(train, test)
+                model = fit_pls_dataset(train, select_pls_components(train))
+                genders, ranks = predict_pls_batch(model, test.features)
+                rec = _record(run, test, genders, ranks, model.coefficients.T)
             else:
-                rec = _evaluate_genage(models[method], test)
-            rec.run = run
+                model = models[method]
+                genders, ranks = predict_batch(model, test.features)
+                _, oracle = predict_batch(model, test.features, gender_override=test.gender)
+                rec = _record(run, test, genders, ranks, (model.w_g, model.w_a),
+                              mae_oracle_routing=mae(oracle, test.age_rank),
+                              cuts_male=tuple(model.ladder_male.cuts.tolist()),
+                              cuts_female=tuple(model.ladder_female.cuts.tolist()))
             reports[method].records.append(rec)
     return reports

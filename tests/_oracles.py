@@ -5,7 +5,9 @@ handed to generic scipy minimizers; nothing here shares code with the
 package's own dual-ascent path.  Returned objectives are evaluated through
 the slack-free hinge form, so any feasible iterate yields a valid value.
 The subproblem losses are also written as loops over the samples, which
-share no code with the package's hinge-term builder.
+share no code with the package's hinge-term builder, and the evaluation
+harness's folds and splits as loops over the (gender, rank) cells, which
+share no code with its single sort of the rows.
 """
 
 import numpy as np
@@ -220,3 +222,31 @@ def random_svor_holes_instance(rng):
     lam3 = float(rng.choice([0.0, 10.0 ** rng.uniform(-1, 1.5)]))
     anchor = rng.normal(size=d)
     return X, ranks, genders, num_ranks, lam2, anchor, lam3
+
+
+def loop_stratified_folds(gender, age_rank, num_ranks, folds):
+    """Fold of each row: round robin within each cell, males then females,
+    ranks ascending, with the running count of rows as the offset."""
+    assignment = np.empty(len(gender), dtype=int)
+    offset = 0
+    for g in (1, -1):
+        for rank in range(1, num_ranks + 1):
+            idx = np.flatnonzero((gender == g) & (age_rank == rank))
+            assignment[idx] = (np.arange(idx.size) + offset) % folds
+            offset += idx.size
+    return [np.flatnonzero(assignment == f) for f in range(folds)]
+
+
+def loop_split(gender, age_rank, num_ranks, train_per_rank, rng):
+    """Sorted (train, test) row indices: each nonempty cell, in the fold
+    order, draws one permutation and trains on its first rows."""
+    want = max(1, int(round(train_per_rank / 2)))
+    train, test = [], []
+    for g in (1, -1):
+        for rank in range(1, num_ranks + 1):
+            idx = np.flatnonzero((gender == g) & (age_rank == rank))
+            if idx.size:
+                perm = rng.permutation(idx.size)
+                train.extend(idx[perm[:want]])
+                test.extend(idx[perm[want:]])
+    return np.sort(np.array(train, dtype=int)), np.sort(np.array(test, dtype=int))

@@ -17,6 +17,13 @@ def write(path, text):
     return str(path)
 
 
+def strict_json(text):
+    """Parse JSON, failing on the NaN and infinities that strict JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_ingest_basic_row(tmp_path):
     path = write(tmp_path / "d.csv", "f1,f2,gender,age\n0.5,-1.2,M,3\n")
     ds = ingest_csv(path)
@@ -357,7 +364,8 @@ def test_listed_cut_centers_generate_the_same_bytes(tmp_path, monkeypatch):
 def test_evaluate_rejects_an_unknown_method(tmp_path, capsys):
     out = tmp_path / "r.json"
     # a method listed twice would be fitted and counted twice
-    for variants, named in (("tt,foo", "'foo'"), ("direct,tt,direct", "'direct' is listed more than once")):
+    for variants, named in (("tt,foo", "'foo'"), ("direct,tt,direct", "'direct' is listed more than once"),
+                            (",", "no method given")):
         code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", variants,
                      "--runs", "1", "--train-per-rank", "8", "--out", str(out)])
         assert code == 1
@@ -365,15 +373,56 @@ def test_evaluate_rejects_an_unknown_method(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("runs", [0, -1])
-def test_evaluate_rejects_fewer_than_one_run(tmp_path, capsys, runs):
-    with pytest.raises(BadConfig, match=f"runs must be at least 1, got {runs}"):
-        run_experiment(SynthConfig(samples_per_cell=8, dim=4), ["tt"], train_per_rank=8, runs=runs)
+@pytest.mark.parametrize("name, value", [("runs", 0), ("runs", -1), ("train_per_rank", 0), ("train_per_rank", -5)],
+                         ids=["0", "-1", "train_per_rank=0", "train_per_rank=-5"])
+def test_evaluate_rejects_fewer_than_one_run(tmp_path, capsys, name, value):
+    values = {"runs": 1, "train_per_rank": 8, name: value}
+    message = f"{name} must be at least 1, got {value}"
+    with pytest.raises(BadConfig, match=message):
+        run_experiment(SynthConfig(samples_per_cell=8, dim=4), ["tt"], **values)
     out = tmp_path / "r.json"
-    code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", "tt",
-                 f"--runs={runs}", "--train-per-rank", "8", "--out", str(out)])
+    code = main(["evaluate", "--config", synth_json(tmp_path), "--variants", "tt", f"--runs={values['runs']}",
+                 f"--train-per-rank={values['train_per_rank']}", "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 1 and err == f"genage: error: runs must be at least 1, got {runs}\n"
+    assert code == 1 and err == f"genage: error: {message}\n"
+    assert not out.exists()
+
+
+def test_evaluate_report_leaves_out_a_gender_missing_from_every_test_side(tmp_path):
+    ds = generate(SynthConfig(samples_per_cell=8, dim=4, seed=2))
+    # three males per cell, all of which a budget of 6 per rank trains on
+    males = [np.flatnonzero((ds.gender == 1) & (ds.age_rank == k))[:3] for k in range(1, ds.num_ranks + 1)]
+    data = tmp_path / "d.csv"
+    export_csv(ds.subset(np.concatenate(males + [np.flatnonzero(ds.gender == -1)])), str(data))
+    args = ["evaluate", "--data", str(data), "--variants", "tt,pls", "--train-per-rank", "6", "--runs", "2"]
+    assert main([*args, "--out", str(tmp_path / "r.json")]) == 0
+    assert main([*args, "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    for report in strict_json((tmp_path / "r.json").read_text(encoding="utf-8"))["methods"].values():
+        assert "mae_male" not in report and "mae_female" in report
+        assert all("mae_male" not in run for run in report["per_run"])
+    text = (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert "nan" not in text and ",mae_male," not in text and ",mae_female," in text
+
+
+def test_evaluate_report_leaves_out_the_angle_of_a_zero_direction(tmp_path):
+    config = synth_json(tmp_path, dim=3, num_ranks=3, samples_per_cell=6, male_cut_centers=[-1.0, 1.0],
+                        discrepancy=1.0, seed=5)
+    out = tmp_path / "r.json"
+    # without a classifier loss the gender direction is zero
+    assert main(["evaluate", "--config", config, "--variants", "tt", "--runs", "1", "--train-per-rank", "4",
+                 "--lambda1=0", "--out", str(out)]) == 0
+    report = strict_json(out.read_text(encoding="utf-8"))["methods"]["tt"]
+    assert "angle_deg" not in report and "angle_deg" not in report["per_run"][0]
+    assert "mae_mixed" in report
+
+
+@pytest.mark.parametrize("text", ["[1.0, 2.0]", "3", '"tt"', "null"])
+def test_predict_rejects_a_model_that_is_not_a_json_object(tmp_path, capsys, text):
+    model_path = write(tmp_path / "model.json", text)
+    data = write(tmp_path / "d.csv", "f1,gender,age\n0.5,M,1\n")
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", model_path, "--data", data, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "genage: error: model must be a JSON object\n"
     assert not out.exists()
 
 
@@ -624,7 +673,7 @@ def test_evaluate_exits_zero_or_with_an_error_line_on_mutated_inputs(tmp_path, c
                  f"--train-per-rank={train_per_rank}", *flags, "--out", str(out)])
     err = capsys.readouterr().err
     if code == 0:
-        payload = json.loads(out.read_text(encoding="utf-8"))
+        payload = strict_json(out.read_text(encoding="utf-8"))
         assert err == "" and payload["protocol"]["runs"] == runs
         assert all(len(report["per_run"]) == runs for report in payload["methods"].values())
     else:

@@ -87,12 +87,6 @@ def test_mismatched_lengths_rejected():
         Dataset([[0.0], [1.0]], [1], [1, 2])
 
 
-def test_counts_per_gender_and_rank():
-    counts = small_dataset().counts()
-    assert counts[(1, 1)] == 1 and counts[(-1, 2)] == 1 and counts[(1, 3)] == 1
-    assert counts[(-1, 1)] == 0
-
-
 def test_dataset_arrays_are_frozen():
     ds = small_dataset()
     with pytest.raises(ValueError):

@@ -1,7 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from _oracles import loop_split, loop_stratified_folds
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genage import (
+    Dataset,
     HyperParams,
     SynthConfig,
     angle_deg,
@@ -17,6 +23,11 @@ from genage import (
     stratified_folds,
 )
 from genage.errors import EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
+
+
+def cell_counts(ds):
+    """Rows per nonempty (gender, rank) cell."""
+    return Counter(zip(ds.gender.tolist(), ds.age_rank.tolist()))
 
 
 def test_mae_identical_sequences():
@@ -87,6 +98,66 @@ def test_infeasible_folds_detected():
         stratified_folds(eight, 9)
 
 
+def test_fold_that_trains_on_one_gender_is_detected():
+    # rows in cell order: males of rank 1, 1, 2, 2, then the one female;
+    # fold 0 holds rows 0, 2 and the female, so its training side is male
+    ds = Dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 1, 1, 1, -1], [1, 1, 2, 2, 1], num_ranks=2)
+    with pytest.raises(InfeasibleFolds, match="fold 0 leaves a single gender for training"):
+        stratified_folds(ds, 2)
+
+
+cells = st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, k)), min_size=1, max_size=40)))
+
+
+def indexed_dataset(k, rows):
+    """A dataset whose one feature is each row's index."""
+    return Dataset(np.arange(len(rows), dtype=float)[:, None], [g for g, _ in rows], [r for _, r in rows],
+                   num_ranks=k)
+
+
+def is_feasible(ds, folds):
+    """The conditions stratified_folds checks, on the given fold rows."""
+    for val in folds:
+        keep = np.setdiff1d(np.arange(ds.n), val)
+        ranks = [np.unique(ds.age_rank[keep][ds.gender[keep] == g]) for g in (1, -1)]
+        if val.size == 0 or min(r.size for r in ranks) < 2:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells, st.integers(2, 5))
+def test_folds_match_the_per_cell_loop(cells, folds):
+    k, rows = cells
+    ds = indexed_dataset(k, rows)
+    expected = loop_stratified_folds(ds.gender, ds.age_rank, k, folds)
+    if is_feasible(ds, expected):
+        got = stratified_folds(ds, folds)
+        assert len(got) == folds and all(np.array_equal(a, b) for a, b in zip(got, expected))
+    else:
+        with pytest.raises(InfeasibleFolds):
+            stratified_folds(ds, folds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells, st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_split_matches_the_per_cell_loop(cells, train_per_rank, seed):
+    k, rows = cells
+    ds = indexed_dataset(k, rows)
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    train_idx, test_idx = loop_split(ds.gender, ds.age_rank, k, train_per_rank, loop_rng)
+    if test_idx.size == 0:
+        with pytest.raises(InfeasibleFolds, match="no test samples"):
+            split_train_test(ds, train_per_rank, rng)
+    else:
+        train, test = split_train_test(ds, train_per_rank, rng)
+        assert np.array_equal(train.features[:, 0], train_idx)
+        assert np.array_equal(test.features[:, 0], test_idx)
+    # the same permutations in the same order leave the generators level
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def test_single_point_grid_returned_as_is():
     ds = generate(SynthConfig(samples_per_cell=10, dim=5, seed=4))
     only = HyperParams(lambda1=10.0, lambda2=10.0, lambda3=50.0, t_max=1)
@@ -101,8 +172,6 @@ def test_empty_grid_rejected():
 
 
 def test_tie_break_prefers_larger_lambda3():
-    from genage import Dataset
-
     grid = hyper_grid(lambda1s=(10.0,), lambda2s=(100.0,), lambda3s=(0.0, 100.0), t_max=1)
     # wide margins in every direction make both settings predict perfectly,
     # so the fold scores tie exactly and the tie-break decides
@@ -144,8 +213,7 @@ def test_split_respects_requested_budget():
     ds = generate(SynthConfig(samples_per_cell=20, seed=6))
     rng = np.random.default_rng(0)
     train, test = split_train_test(ds, 10, rng)
-    counts = train.counts()
-    assert all(v == 5 for v in counts.values())
+    assert cell_counts(train) == {(g, k): 5 for g in (1, -1) for k in range(1, ds.num_ranks + 1)}
     assert train.n + test.n == ds.n
 
 
@@ -156,10 +224,10 @@ def test_split_small_cells_fall_back_to_everything():
     ds = ds.subset(np.setdiff1d(np.arange(ds.n), drop))
     rng = np.random.default_rng(0)
     train, test = split_train_test(ds, 10, rng)
-    counts = train.counts()
-    assert counts[(1, 1)] == 3  # the whole starved cell went to training
-    assert all(v == 5 for key, v in counts.items() if key != (1, 1))
-    assert test.counts()[(1, 1)] == 0
+    every_cell = [(g, k) for g in (1, -1) for k in range(1, ds.num_ranks + 1)]
+    # the whole starved cell went to training, and none of it to testing
+    assert cell_counts(train) == {cell: 3 if cell == (1, 1) else 5 for cell in every_cell}
+    assert cell_counts(test) == {cell: 3 for cell in every_cell if cell != (1, 1)}
     with pytest.raises(InfeasibleFolds):
         # taking literally everything leaves no test side at all
         split_train_test(ds, 100, np.random.default_rng(0))

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ def test_determinism_is_bit_exact():
 def test_cell_counts_are_exact():
     cfg = SynthConfig(samples_per_cell=7, num_ranks=4,
                       male_cut_centers=(-2.0, 0.0, 2.0), seed=0)
-    counts = generate(cfg).counts()
-    assert all(v == 7 for v in counts.values())
+    ds = generate(cfg)
+    counts = Counter(zip(ds.gender.tolist(), ds.age_rank.tolist()))
+    assert counts == {(g, k): 7 for g in (1, -1) for k in range(1, 5)}
 
 
 def test_directions_are_orthonormal():
