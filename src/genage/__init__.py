@@ -34,7 +34,7 @@ from .pls import PlsModel, fit_pls, fit_pls_dataset, predict_pls, predict_pls_ba
 from .svm import SvmSolution, solve_svm
 from .svor import SvorSolution, predict_ranks, solve_svor
 from .synth import SynthConfig, effective_cuts, generate, true_directions
-from .train import fit, fit_many, objective_value, predict, predict_batch
+from .train import fit, objective_value, predict, predict_batch
 
 __all__ = [
     "Dataset",
@@ -54,7 +54,6 @@ __all__ = [
     "cross_validate",
     "effective_cuts",
     "fit",
-    "fit_many",
     "fit_pls",
     "fit_pls_dataset",
     "generate",

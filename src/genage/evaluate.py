@@ -27,7 +27,7 @@ from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant
 from .errors import BadConfig, EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
 from .pls import fit_pls_dataset, predict_pls_batch, truncate_pls
 from .synth import SynthConfig, generate
-from .train import fit, fit_many, predict_batch  # noqa: F401  (fit: perfbench's tracer wraps it here)
+from .train import fit, predict_batch
 
 PLS_METHOD = "pls"
 GENAGE_METHODS = tuple(v.value for v in Variant)
@@ -103,13 +103,12 @@ def cross_validate(ds: Dataset, grid, folds=5):
     candidates = list(grid)
     if not candidates:
         raise EmptyInput("empty hyperparameter grid")
-    configs = [TrainConfig(hyper=hp) for hp in candidates]
     scores = [[] for _ in candidates]
     # folds outside, grid inside: the grid's fits of a fold share their
     # gender-blind init through its training subset's store
     for train, test in _fold_pairs(ds, folds):
-        for row, model in zip(scores, fit_many(train, configs)):
-            _, ranks = predict_batch(model, test.features)
+        for row, hp in zip(scores, candidates):
+            _, ranks = predict_batch(fit(train, TrainConfig(hyper=hp)), test.features)
             row.append(mae(ranks, test.age_rank))
     table = list(zip(candidates, scores))
     order = sorted(
@@ -300,7 +299,7 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0):
     configs = [TrainConfig(hyper=hyper.replace(variant=Variant(m))) for m in variants]
     for run, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
         train, test = split_train_test(ds, train_per_rank, np.random.default_rng(child))
-        models = dict(zip(variants, fit_many(train, configs)))
+        models = {v: fit(train, cfg) for v, cfg in zip(variants, configs)}
         for method in methods:
             if method == PLS_METHOD:
                 model = fit_pls_dataset(train, select_pls_components(train))

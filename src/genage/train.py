@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, ThresholdLadder, TrainConfig, Variant
-from .errors import BadGenderLabel, DegenerateGender, DimensionMismatch, NonFiniteFeature
+from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, TrainConfig, Variant
+from .errors import BadConfig, BadGenderLabel, DegenerateGender, DimensionMismatch, NonFiniteFeature
 from .svm import solve_svm
 from .svor import _CLASSIFIER, _SHARED, _SPLIT, _loss_terms, _objective, predict_ranks, solve_svor
 
@@ -44,6 +45,9 @@ def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male,
     w_a = np.asarray(w_a, dtype=float)
     if w_g.shape != (ds.dim,) or w_a.shape != (ds.dim,):
         raise DimensionMismatch("state dimensions do not match the dataset")
+    if ladder_male.num_ranks != ds.num_ranks or ladder_female.num_ranks != ds.num_ranks:
+        raise DimensionMismatch(f"each ladder must hold {ds.num_ranks - 1} cuts, got "
+                                f"{ladder_male.num_ranks - 1} and {ladder_female.num_ranks - 1}")
     X = ds.features
     # one ladder object reads the same cut values through the shared terms
     # as through the split ones, term for term in the same order
@@ -60,9 +64,11 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
 
     The aging state is initialized from one shared-ladder ordinal solve with
     no coupling (a gender-blind pass), which makes every run deterministic.
-    The coupled variants then alternate classifier and ordinal solves for
-    ``t_max`` iterations, stopping early once a full iteration changes the
-    objective by less than ``tol`` relatively.
+    Each round then solves the classifier block (w_g, b_g), then the ordinal
+    block (w_a, ladders), and keeps a block's solution only if the joint
+    objective does not rise.  The coupled variants run ``t_max`` rounds,
+    stopping early once a round changes the objective by less than ``tol``
+    relatively; the decoupled ones run one.
 
     The gender-blind init depends only on ``lambda2`` and ``tol``, and the
     first classifier half-step only on that init, ``lambda1`` and the
@@ -72,92 +78,52 @@ def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:
     deterministic call, so a model is the same whichever fit solved them.
     """
     cfg = TrainConfig() if cfg is None else cfg
+    if not isinstance(cfg, TrainConfig):
+        raise BadConfig(f"fit expects a TrainConfig, got {type(cfg).__name__}")
+    variant = cfg.hyper.variant
     if not (np.any(ds.gender == MALE) and np.any(ds.gender == FEMALE)):
-        raise DegenerateGender(f"variant {cfg.hyper.variant.value} needs both genders in the training data")
-    hyper = _effective(cfg.hyper)
+        raise DegenerateGender(f"variant {variant.value} needs both genders in the training data")
+    decoupled = variant in (Variant.DIRECT, Variant.TWO_STEP)
+    hyper = cfg.hyper.replace(lambda3=0.0) if decoupled else cfg.hyper
     key = ("init", hyper.lambda2, hyper.tol)
     init = ds._derived(key, lambda: _frozen(solve_svor(ds, hyper.lambda2, anchor=None, lambda3=0.0,
                                                         split_thresholds=False, tol=hyper.tol)))
-    first_svm = ds._derived(key + (hyper.lambda1, hyper.lambda3), lambda: _frozen(
-        solve_svm(ds, hyper.lambda1, anchor=init.w, lambda3=hyper.lambda3, tol=hyper.tol)))
-    return _alternate(ds, cfg, init, first_svm)
 
+    # (w_g, b_g, w_a, male ladder, female ladder), GenAgeModel's field order
+    state = (np.zeros(ds.dim), 0.0, init.w, init.ladder_male, init.ladder_female)
+    trace = [objective_value(ds, hyper, *state)]
+    for t in range(1, (1 if decoupled else hyper.t_max) + 1):
+        for block in ("classifier", "ordinal"):
+            w_g, b_g, w_a, ladder_m, ladder_f = state
+            if block == "classifier":
+                solve = partial(solve_svm, ds, hyper.lambda1, anchor=w_a, lambda3=hyper.lambda3, tol=hyper.tol)
+                # the first step starts from the init, so the store keeps it too
+                svm = solve() if t > 1 else ds._derived(key + (hyper.lambda1, hyper.lambda3),
+                                                        lambda: _frozen(solve()))
+                cand = (svm.w, svm.b, w_a, ladder_m, ladder_f)
+            else:
+                # direct's ordinal problem, with no coupling and one shared
+                # ladder, is the init's, so the init is its exact solution
+                svor = init if variant is Variant.DIRECT else solve_svor(
+                    ds, hyper.lambda2, anchor=w_g, lambda3=hyper.lambda3,
+                    split_thresholds=variant in (Variant.TT, Variant.TWO_STEP), tol=hyper.tol)
+                cand = (w_g, b_g, svor.w, svor.ladder_male, svor.ladder_female)
+            value = objective_value(ds, hyper, *cand)
+            if value <= trace[-1]:
+                state = cand
+                trace.append(value)
+            else:
+                trace.append(trace[-1])
+        if t >= 2 and abs(trace[-3] - trace[-1]) <= hyper.tol * max(1.0, abs(trace[-3])):
+            break
 
-def fit_many(ds: Dataset, configs) -> list[GenAgeModel]:
-    """Train one model per config on the same ``ds``, in order: one
-    :func:`fit` each, which share the solves kept in the dataset's store."""
-    return [fit(ds, cfg) for cfg in configs]
+    return GenAgeModel(*state, variant, tuple(trace))
 
 
 def _frozen(sol):
     """``sol`` with its direction made read-only, as the store hands it to every fit."""
     sol.w.setflags(write=False)
     return sol
-
-
-def _effective(hyper: HyperParams) -> HyperParams:
-    """The decoupled variants run with no coupling, whatever ``lambda3`` says."""
-    return hyper.replace(lambda3=0.0) if hyper.variant in (Variant.DIRECT, Variant.TWO_STEP) else hyper
-
-
-def _alternate(ds: Dataset, cfg: TrainConfig, init, first_svm) -> GenAgeModel:
-    """Run ``cfg``'s alternation from the gender-blind ``init`` solve, whose
-    first classifier half-step ``first_svm`` is already solved."""
-    hyper = cfg.hyper
-    variant = hyper.variant
-    decoupled = variant in (Variant.DIRECT, Variant.TWO_STEP)
-    split = variant in (Variant.TT, Variant.TWO_STEP)
-    eff = _effective(hyper)
-    t_max = 1 if decoupled else hyper.t_max
-
-    w_g = np.zeros(ds.dim)
-    b_g = 0.0
-    w_a = init.w
-    ladder_m, ladder_f = init.ladder_male, init.ladder_female
-
-    trace = [objective_value(ds, eff, w_g, b_g, w_a, ladder_m, ladder_f)]
-    for t in range(1, t_max + 1):
-        svm = first_svm if t == 1 else solve_svm(ds, eff.lambda1, anchor=w_a, lambda3=eff.lambda3,
-                                                 tol=eff.tol)
-        cand = objective_value(ds, eff, svm.w, svm.b, w_a, ladder_m, ladder_f)
-        if cand <= trace[-1]:
-            w_g, b_g = svm.w, svm.b
-            trace.append(cand)
-        else:
-            trace.append(trace[-1])
-
-        if variant is Variant.DIRECT:
-            # no coupling and one shared ladder: the ordinal half-step would
-            # pose the init problem again, so the init is its solution
-            trace.append(trace[-1])
-            continue
-        svor = solve_svor(ds, eff.lambda2, anchor=w_g, lambda3=eff.lambda3,
-                          split_thresholds=split, tol=eff.tol)
-        cand = objective_value(ds, eff, w_g, b_g, svor.w, svor.ladder_male, svor.ladder_female)
-        if cand <= trace[-1]:
-            w_a, ladder_m, ladder_f = svor.w, svor.ladder_male, svor.ladder_female
-            trace.append(cand)
-        else:
-            trace.append(trace[-1])
-
-        if t >= 2:
-            prev, curr = trace[-3], trace[-1]
-            if abs(prev - curr) <= hyper.tol * max(1.0, abs(prev)):
-                break
-
-    if not split:
-        # one shared ladder object keeps the equality exact, not just approximate
-        shared = ThresholdLadder(ladder_m.cuts)
-        ladder_m = ladder_f = shared
-    return GenAgeModel(
-        w_g=w_g,
-        b_g=b_g,
-        w_a=w_a,
-        ladder_male=ladder_m,
-        ladder_female=ladder_f,
-        variant=variant,
-        objective_trace=tuple(trace),
-    )
 
 
 def predict(model: GenAgeModel, x):

@@ -7,7 +7,9 @@ the slack-free hinge form, so any feasible iterate yields a valid value.
 The subproblem losses are also written as loops over the samples, which
 share no code with the package's hinge-term builder, and the evaluation
 harness's folds and splits as loops over the (gender, rank) cells, which
-share no code with its single sort of the rows.
+share no code with its single sort of the rows.  The trainer's alternation
+is written out plainly on the package's own solvers and objective, to pin
+the control flow of ``fit``, not its solvers.
 """
 
 import numpy as np
@@ -250,3 +252,46 @@ def loop_split(gender, age_rank, num_ranks, train_per_rank, rng):
                 train.extend(idx[perm[:want]])
                 test.extend(idx[perm[want:]])
     return np.sort(np.array(train, dtype=int)), np.sort(np.array(test, dtype=int))
+
+
+def alternation_oracle(ds, hyper):
+    """The alternating trainer, one block after the other, on a fresh copy
+    of ``ds``: the gender-blind init, then per round the classifier block
+    and (except for ``direct``, whose init already solves it) the ordinal
+    block, each kept only if the joint objective does not rise, and the
+    stop test on the change over a round.  Returns a GenAgeModel."""
+    from genage import Dataset, GenAgeModel, Variant, objective_value, solve_svm, solve_svor
+
+    ds = Dataset(ds.features, ds.gender, ds.age_rank, num_ranks=ds.num_ranks)
+    variant = hyper.variant
+    decoupled = variant in (Variant.DIRECT, Variant.TWO_STEP)
+    if decoupled:
+        hyper = hyper.replace(lambda3=0.0)
+    init = solve_svor(ds, hyper.lambda2, anchor=None, lambda3=0.0, split_thresholds=False, tol=hyper.tol)
+    w_g, b_g, w_a, ladder_m, ladder_f = np.zeros(ds.dim), 0.0, init.w, init.ladder_male, init.ladder_female
+    trace = [objective_value(ds, hyper, w_g, b_g, w_a, ladder_m, ladder_f)]
+    for t in range(1, (1 if decoupled else hyper.t_max) + 1):
+        svm = solve_svm(ds, hyper.lambda1, anchor=w_a, lambda3=hyper.lambda3, tol=hyper.tol)
+        value = objective_value(ds, hyper, svm.w, svm.b, w_a, ladder_m, ladder_f)
+        if value <= trace[-1]:
+            w_g, b_g = svm.w, svm.b
+            trace.append(value)
+        else:
+            trace.append(trace[-1])
+
+        if variant is Variant.DIRECT:
+            trace.append(trace[-1])
+            continue
+        svor = solve_svor(ds, hyper.lambda2, anchor=w_g, lambda3=hyper.lambda3,
+                          split_thresholds=variant in (Variant.TT, Variant.TWO_STEP), tol=hyper.tol)
+        value = objective_value(ds, hyper, w_g, b_g, svor.w, svor.ladder_male, svor.ladder_female)
+        if value <= trace[-1]:
+            w_a, ladder_m, ladder_f = svor.w, svor.ladder_male, svor.ladder_female
+            trace.append(value)
+        else:
+            trace.append(trace[-1])
+
+        if t >= 2 and abs(trace[-3] - trace[-1]) <= hyper.tol * max(1.0, abs(trace[-3])):
+            break
+    return GenAgeModel(w_g=w_g, b_g=b_g, w_a=w_a, ladder_male=ladder_m, ladder_female=ladder_f,
+                       variant=variant, objective_trace=tuple(trace))

@@ -11,16 +11,15 @@ from genage import (
     Variant,
     angle_deg,
     fit,
-    fit_many,
     generate,
     objective_value,
     predict,
     predict_batch,
     solve_svm,
 )
-from genage.errors import BadGenderLabel, DegenerateGender, DimensionMismatch
+from genage.errors import BadConfig, BadGenderLabel, DegenerateGender, DimensionMismatch
 
-from _oracles import loop_hinge, loop_slacks
+from _oracles import alternation_oracle, loop_hinge, loop_slacks
 
 
 def hyper(lam3=1000.0, variant=Variant.TT, **kw):
@@ -97,9 +96,10 @@ def test_coupling_pushes_directions_toward_orthogonality():
     assert deviations[0] >= deviations[1] >= deviations[2]
 
 
-def test_shared_ladder_variants_share_one_object():
+@pytest.mark.parametrize("variant", ["direct", "st"])
+def test_shared_ladder_variants_share_one_object(variant):
     ds = small_synth()
-    model = fit(ds, TrainConfig(hyper=hyper(variant=Variant.ST)))
+    model = fit(ds, TrainConfig(hyper=hyper(variant=variant)))
     assert model.ladder_male is model.ladder_female
 
 
@@ -107,6 +107,11 @@ def test_missing_gender_raises():
     ds = Dataset([[0.0], [1.0], [2.0]], [1, 1, 1], [1, 2, 2], num_ranks=2)
     with pytest.raises(DegenerateGender):
         fit(ds, TrainConfig(hyper=hyper()))
+
+
+def test_fit_given_hyperparameters_instead_of_a_config_raises():
+    with pytest.raises(BadConfig, match="expects a TrainConfig, got HyperParams"):
+        fit(small_synth(), hyper())
 
 
 def test_fit_is_deterministic():
@@ -191,6 +196,16 @@ def test_objective_value_hand_sum():
     for w_g, w_a in ((np.zeros(3), zeros), (zeros, np.zeros(1))):
         with pytest.raises(DimensionMismatch):
             objective_value(ds, hp, w_g, 0.0, w_a, ladder, ladder)
+
+
+@pytest.mark.parametrize("male, female", [(6, 6), (4, 5), (7, None), (3, 3)])
+def test_objective_value_rejects_ladders_with_the_wrong_cut_count(male, female):
+    # K = 5 wants 4 cuts per ladder; None stands for the male ladder shared
+    ds = small_synth(num_ranks=5)
+    ladder_male = ThresholdLadder(np.arange(float(male)))
+    ladder_female = ladder_male if female is None else ThresholdLadder(np.arange(float(female)))
+    with pytest.raises(DimensionMismatch, match="must hold 4 cuts"):
+        objective_value(ds, hyper(), np.zeros(ds.dim), 0.0, np.zeros(ds.dim), ladder_male, ladder_female)
 
 
 def test_orthogonal_directions_zero_the_coupling():
@@ -280,28 +295,6 @@ def test_direct_runs_one_ordinal_solve(svor_calls):
     assert len(trace) == 3 and trace[2] == trace[1] <= trace[0]
 
 
-def test_fit_many_solves_each_first_classifier_step_once(svm_calls):
-    """direct and 2step pose the same lambda3 = 0 classifier problem, and st
-    and tt the same coupled one on the shared init: one solve per pair in
-    round 1, then one each for st and tt in round 2."""
-    fit_many(small_synth(), [TrainConfig(hyper=hyper(variant=v)) for v in Variant])
-    assert sorted(svm_calls) == [(0.0, True), (1000.0, False), (1000.0, False), (1000.0, True)]
-
-
-def test_fit_many_shares_the_init_and_matches_separate_fits(svor_calls):
-    ds = small_synth(discrepancy=1.5)
-    configs = [TrainConfig(hyper=HyperParams(lambda1=10.0, lambda2=lam2, lambda3=lam3, t_max=2, variant=v))
-               for v in Variant for lam3 in (10.0, 1000.0) for lam2 in (10.0, 30.0)]
-    # a copy of its own: fits on one dataset share its stored solves, so
-    # fitting ``ds`` here would hand fit_many inits that are already solved
-    separate = [fit(fresh_copy(ds), cfg) for cfg in configs]
-    svor_calls.clear()
-    together = fit_many(ds, configs)
-    assert sorted(lam2 for lam2, init in svor_calls if init) == [10.0, 30.0]
-    for a, b in zip(separate, together, strict=True):
-        assert_same_model(a, b)
-
-
 def assert_same_model(a, b):
     """Equal bit for bit, the trace included."""
     assert a.variant == b.variant
@@ -312,15 +305,17 @@ def assert_same_model(a, b):
     assert a.objective_trace == b.objective_trace
 
 
-def test_separate_fits_on_one_dataset_solve_each_init_once(svor_calls):
+def test_separate_fits_on_one_dataset_solve_each_init_once(svor_calls, svm_calls):
     """The dataset's store keeps the init per (lambda2, tol) and the first
-    classifier step, so separate fits share them as fit_many's configs do,
-    and each model is the one a fit on a fresh copy returns."""
+    classifier step, so separate fits share them, and each model is the one
+    a fit on a fresh copy returns.  direct and 2step pose the same lambda3 = 0
+    first classifier step, and st and tt the same coupled one per lambda3."""
     ds = small_synth(discrepancy=1.5)
-    configs = [TrainConfig(hyper=HyperParams(lambda2=lam2, tol=tol, variant=v))
-               for tol in (1e-6, 1e-8) for lam2 in (10.0, 30.0) for v in Variant]
+    configs = [TrainConfig(hyper=HyperParams(lambda2=lam2, lambda3=lam3, tol=tol, variant=v))
+               for tol in (1e-6, 1e-8) for lam2 in (10.0, 30.0) for lam3 in (10.0, 1000.0) for v in Variant]
     models = [fit(ds, cfg) for cfg in configs]
     assert sorted(lam2 for lam2, init in svor_calls if init) == [10.0, 10.0, 30.0, 30.0]
+    assert sorted(lam3 for lam3, first in svm_calls if first) == [0.0] * 4 + [10.0] * 4 + [1000.0] * 4
     svor_calls.clear()
     assert fit(ds, configs[-1]).objective_trace == models[-1].objective_trace
     assert not any(init for _, init in svor_calls)
@@ -365,3 +360,15 @@ def test_tiny_fits_are_row_order_invariant_with_sorted_ladders_and_falling_trace
             assert np.all(np.diff(m.ladder_male.cuts) >= 0.0)
             assert np.all(np.diff(m.ladder_female.cuts) >= 0.0)
             assert np.all(np.diff(m.objective_trace) <= 0.0)
+
+
+@pytest.mark.parametrize("t_max", [2, 50])
+def test_fit_is_the_plain_alternation_bit_for_bit(t_max):
+    """fit against the alternation written out block by block, on fresh
+    copies: the same models and traces, direct's untouched ordinal block
+    included."""
+    ds = generate(SynthConfig(discrepancy=2.0))
+    problems = [(ds, hyper(variant=v).replace(t_max=t_max)) for v in Variant]
+    problems += [(tiny, hp.replace(t_max=t_max)) for tiny, _, hp in tiny_fit_problems(12, seed=5)]
+    for data, hp in problems:
+        assert_same_model(fit(data, TrainConfig(hyper=hp)), alternation_oracle(data, hp))
