@@ -12,14 +12,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
+    BadConfig,
     BadGenderLabel,
     DimensionMismatch,
     GenAgeError,
@@ -31,6 +34,18 @@ from .errors import (
 
 MALE = 1
 FEMALE = -1
+
+
+def _is_int(value):
+    """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_ladders(**ladders):
+    """Raise :class:`LadderOrderError` naming the first ladder that is not a :class:`ThresholdLadder`."""
+    for name, ladder in ladders.items():
+        if not isinstance(ladder, ThresholdLadder):
+            raise LadderOrderError(f"{name} must be a ThresholdLadder, got {type(ladder).__name__}")
 
 
 def _frozen_array(values, dtype=float):
@@ -61,9 +76,10 @@ class Variant(str, Enum):
 class Dataset:
     """Samples stored column-major: features (N, d), gender (N,), age_rank (N,).
 
-    ``num_ranks`` declares K; ``rank_to_year`` optionally maps rank k to the
-    raw year it was compacted from (index k-1).  The constructor copies the
-    given arrays and runs :func:`validate_dataset` on the result.
+    ``num_ranks`` declares K, an integer; ``rank_to_year`` optionally maps
+    rank k to the raw year it was compacted from (index k-1), so it holds K
+    strictly increasing integers.  The constructor copies the given arrays
+    and runs :func:`validate_dataset` on the result.
 
     Each dataset keeps a private store of what fits derive from it alone
     (see :meth:`_derived`): the arrays are frozen when the dataset is built,
@@ -90,19 +106,29 @@ class Dataset:
     def _hold(self, features, gender, age_rank, num_ranks, rank_to_year):
         """Check the shapes, then freeze and keep the given arrays."""
         if features.shape[0] != gender.shape[0] or features.shape[0] != age_rank.shape[0]:
-            raise DimensionMismatch(
-                f"features ({features.shape[0]} rows), gender ({gender.shape[0]}) and "
-                f"age_rank ({age_rank.shape[0]}) must have equal lengths"
-            )
+            raise DimensionMismatch(f"features ({features.shape[0]} rows), gender ({gender.shape[0]}) and "
+                                    f"age_rank ({age_rank.shape[0]}) must have equal lengths")
         if num_ranks is None:
             num_ranks = int(age_rank.max()) if age_rank.size else 2
+        if not _is_int(num_ranks):
+            raise BadConfig(f"num_ranks must be an integer, got {num_ranks!r}")
         if num_ranks < 2:
             raise InsufficientRanks(f"num_ranks must be at least 2, got {num_ranks}")
+        if rank_to_year is not None:
+            try:
+                rank_to_year = tuple(rank_to_year)
+            except TypeError:
+                raise BadConfig(f"rank_to_year must be a sequence, got {rank_to_year!r}") from None
+            if len(rank_to_year) != num_ranks:
+                raise DimensionMismatch(f"rank_to_year has {len(rank_to_year)} entries for {num_ranks} ranks")
+            if not all(map(_is_int, rank_to_year)) or any(map(operator.ge, rank_to_year, rank_to_year[1:])):
+                raise BadConfig(f"rank_to_year must hold strictly increasing integers, got {list(rank_to_year)!r}")
+            rank_to_year = tuple(map(int, rank_to_year))
         for arr in (features, gender, age_rank):
             arr.setflags(write=False)
         self.features, self.gender, self.age_rank = features, gender, age_rank
         self.num_ranks = int(num_ranks)
-        self.rank_to_year = tuple(rank_to_year) if rank_to_year is not None else None
+        self.rank_to_year = rank_to_year
         self._store = {}
 
     def _derived(self, key, make):
@@ -130,13 +156,8 @@ class Dataset:
     def subset(self, indices):
         """A new dataset holding the given rows; keeps K and the year map."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset._adopt(
-            self.features[idx],
-            self.gender[idx],
-            self.age_rank[idx],
-            num_ranks=self.num_ranks,
-            rank_to_year=self.rank_to_year,
-        )
+        return Dataset._adopt(self.features[idx], self.gender[idx], self.age_rank[idx],
+                              num_ranks=self.num_ranks, rank_to_year=self.rank_to_year)
 
     def __len__(self):
         return self.n
@@ -230,9 +251,7 @@ class HyperParams:
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 
     def replace(self, **changes):
-        from dataclasses import replace
-
-        return replace(self, **changes)
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -240,6 +259,10 @@ class TrainConfig:
     """Everything :func:`genage.train.fit` needs besides the data."""
 
     hyper: HyperParams = field(default_factory=HyperParams)
+
+    def __post_init__(self):
+        if not isinstance(self.hyper, HyperParams):
+            raise BadConfig(f"hyper must be a HyperParams, got {type(self.hyper).__name__}")
 
 
 @dataclass(frozen=True)
@@ -270,6 +293,7 @@ class GenAgeModel:
                 raise GenAgeError(f"model field {name!r} must be finite")
         if w_g.shape != w_a.shape:
             raise DimensionMismatch("w_g and w_a must share a dimension")
+        _check_ladders(ladder_male=self.ladder_male, ladder_female=self.ladder_female)
         if self.ladder_male.num_ranks != self.ladder_female.num_ranks:
             raise DimensionMismatch("both ladders must have the same number of cuts")
         variant = Variant.parse(self.variant)

@@ -11,8 +11,9 @@ it above) and the index of the cut it references.  A chain is a run of
 consecutive cut ids.  The gender classifier is the two-rank case: one cut
 (the negated bias) on a one-cut chain.  A :class:`HingeProblem` holds the
 rows z, the penalty and a :class:`HingeTerms`: the orientations, cut ids
-and chains with the solver's layout of them, which :func:`hinge_terms`
-checks and derives once for every problem posed on the same terms.
+and chains, with the terms sorted by cut as the solver reads them, which
+:func:`hinge_terms` checks and derives from once for every problem posed on
+the same terms.
 
 In the dual with explicit order constraints (Chu & Keerthi, "New approaches
 to support vector ordinal regression", ICML 2005) the multiplier of
@@ -89,14 +90,14 @@ class HingeTerms:
     """The hinge terms of a subproblem and what the solver derives from them.
 
     Term t has the orientation ``tau[t]`` and references cut ``cut[t]`` of
-    ``n_cuts``.  ``chains`` are the chains as slices of cut ids and ``tail``
-    marks the cuts that no running sum joins to the next.  The interior
-    point keeps the terms of cuts that have both orientations, in cut order
-    (``keep``), with each kept term's block among the kept cuts (``ck``)
-    and the start of each block (``starts``).  The dual finish sorts the
-    terms by cut (``perm``), so the terms of cut j are the slice
-    ``bounds[j]:bounds[j + 1]`` of the sorted terms.  Built, and its chains
-    checked, by :func:`hinge_terms`; its arrays are read-only.
+    ``n_cuts``; the terms are sorted by cut, so the terms of cut j are the
+    slice ``bounds[j]:bounds[j + 1]``.  ``chains`` are the chains as slices
+    of cut ids and ``tail`` marks the cuts that no running sum joins to the
+    next.  The interior point keeps the terms of cuts that have both
+    orientations (``keep``), with each kept term's block among the kept
+    cuts (``ck``) and the start of each block (``starts``).  Built, and its
+    cut order and chains checked, by :func:`hinge_terms`; its arrays are
+    read-only.
     """
 
     tau: np.ndarray
@@ -107,13 +108,14 @@ class HingeTerms:
     keep: np.ndarray
     ck: np.ndarray
     starts: np.ndarray
-    perm: np.ndarray
     bounds: tuple
 
 
 def hinge_terms(tau, cut, n_cuts, chains):
-    """Check the chains, runs of consecutive ascending cut ids that must stay
-    sorted, and derive the :class:`HingeTerms` of the given terms."""
+    """Check that the terms are sorted by cut id and that the chains are runs
+    of consecutive ascending cut ids, and derive the :class:`HingeTerms` of
+    the given terms.  The solver reads each cut's terms as one slice, so
+    unsorted terms would solve to a wrong answer."""
     seen = np.zeros(n_cuts, dtype=bool)
     for chain in chains:
         ids = np.asarray(chain)
@@ -124,22 +126,22 @@ def hinge_terms(tau, cut, n_cuts, chains):
         seen[ids] = True
     tau = np.array(tau, dtype=float)
     cut = np.array(cut, dtype=int)
+    if np.any(np.diff(cut) < 0):
+        raise ValueError("the hinge terms must be sorted by cut id")
     plus = np.bincount(cut, tau > 0, n_cuts)
     minus = np.bincount(cut, tau < 0, n_cuts)
     keep = np.flatnonzero(((plus > 0) & (minus > 0))[cut])
-    keep = keep[np.argsort(cut[keep], kind="stable")]
     used, ck = np.unique(cut[keep], return_inverse=True)
-    perm = np.argsort(cut, kind="stable")
     slices = tuple(slice(chain[0], chain[-1] + 1) for chain in chains)
     tail = np.ones(n_cuts, dtype=bool)
     for ch in slices:
         tail[ch.start: ch.stop - 1] = False
     arrays = dict(tau=tau, cut=cut, tail=tail, keep=keep, ck=ck,
-                  starts=np.searchsorted(ck, np.arange(used.size)), perm=perm)
+                  starts=np.searchsorted(ck, np.arange(used.size)))
     for arr in arrays.values():
         arr.setflags(write=False)
     return HingeTerms(n_cuts=n_cuts, chains=slices,
-                      bounds=tuple(np.searchsorted(cut[perm], np.arange(n_cuts + 1)).tolist()), **arrays)
+                      bounds=tuple(np.searchsorted(cut, np.arange(n_cuts + 1)).tolist()), **arrays)
 
 
 @dataclass
@@ -345,14 +347,13 @@ class _DualSolver:
     def __init__(self, prob: HingeProblem, warm=None):
         self.prob = prob
         self.lam = float(prob.penalty)
-        self.T = prob.z.shape[0]
         # sorted by cut: each run of cuts, and so each tie segment, is one slice
         terms = prob.terms
-        self.perm, self.n_cuts = terms.perm, terms.n_cuts
-        self.tau, self.cut = terms.tau[self.perm], terms.cut[self.perm]
+        self.tau, self.cut, self.n_cuts = terms.tau, terms.cut, terms.n_cuts
         self.bounds, self.chains, self.tail = terms.bounds, terms.chains, terms.tail
-        self.z = np.ascontiguousarray(np.asarray(prob.z, dtype=float)[self.perm])
-        self.beta = np.zeros(self.T) if warm is None else np.asarray(warm, dtype=float)[self.perm]
+        self.z = np.ascontiguousarray(prob.z, dtype=float)
+        # a copy: the finish writes to the duals
+        self.beta = np.zeros(prob.z.shape[0]) if warm is None else np.array(warm, dtype=float)
         # the sweeps and the working set count a dual within the slack of a
         # bound as on it, and nothing else would ever move it there
         tiny = _BOUND_SLACK * max(1.0, self.lam)
@@ -392,12 +393,6 @@ class _DualSolver:
     def _refresh(self):
         self.v = -(self.z.T @ (self.tau * self.beta))
         self.s = self.z @ self.v
-
-    def duals(self):
-        """The duals in the problem's term order."""
-        beta = np.empty(self.T)
-        beta[self.perm] = self.beta
-        return beta
 
     def _running_sums(self, per_cut):
         """Running sums of a per-cut array along each chain; 0 off the chains."""

@@ -10,10 +10,10 @@ inside the solver, not by post-hoc clipping.
 
 Both subproblems are posed here: :func:`_build_terms` says which sample
 meets which cut on which side, and a dataset stores, per ladder kind, the
-sample row of each term with its :class:`~genage.smo.HingeTerms`.  The
-solvers pose their :class:`~genage.smo.HingeProblem` on those, and the
-losses of :func:`genage.train.objective_value` read them through
-:func:`_objective`.
+sample row of each term with its :class:`~genage.smo.HingeTerms`, in cut
+order.  A solve poses its :class:`~genage.smo.HingeProblem` on those once
+:func:`_check` passes; the losses of :func:`genage.train.objective_value`
+read them unchecked through :func:`_objective`.
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ def _objective(rows, terms, X, penalty, anchor, lambda3, w, cuts):
 
 def _build_terms(ranks, genders, num_ranks, split):
     """The sample row of each hinge term of the reduced problem and its
-    :class:`~genage.smo.HingeTerms`."""
+    :class:`~genage.smo.HingeTerms`, stably sorted by cut as the solver reads
+    them: within a cut, in sample order."""
     n_cuts_per = num_ranks - 1
     k = np.asarray(ranks, dtype=int)
     # per sample, the term below cut k then the term above cut k-1: the flat
     # indices of a row-major (sample, side) mask keep that order
     flat = np.flatnonzero(np.stack((k <= n_cuts_per, k >= 2), axis=1))
     rows, side = flat >> 1, flat & 1
-    taus = 1.0 - 2.0 * side
     cuts = k[rows] - 1 - side
     if split:
         cuts += np.where(np.asarray(genders)[rows] == FEMALE, n_cuts_per, 0)
@@ -65,8 +65,10 @@ def _build_terms(ranks, genders, num_ranks, split):
     else:
         chains = (tuple(range(n_cuts_per)),)
         n_cuts = n_cuts_per
+    order = np.argsort(cuts, kind="stable")
+    rows, side, cuts = rows[order], side[order], cuts[order]
     rows.setflags(write=False)
-    return rows, hinge_terms(taus, cuts, n_cuts, chains)
+    return rows, hinge_terms(1.0 - 2.0 * side, cuts, n_cuts, chains)
 
 
 # the ladder kinds a fit solves: the classifier (two ranks, male above
@@ -74,49 +76,40 @@ def _build_terms(ranks, genders, num_ranks, split):
 _CLASSIFIER, _SHARED, _SPLIT = "classifier", "shared", "split"
 
 
-def _kind_args(ds: Dataset, kind):
-    """The :func:`_build_terms` arguments of ``ds``'s terms of ``kind``."""
-    if kind == _CLASSIFIER:
-        return np.where(ds.gender == MALE, 2, 1), ds.gender, 2, False
-    return ds.age_rank, ds.gender, ds.num_ranks, kind == _SPLIT
-
-
-def _derive_terms(ds: Dataset, kind):
-    """Check that ``ds`` can pose a subproblem of ``kind`` and build its terms."""
-    ranks, genders, num_ranks, split = args = _kind_args(ds, kind)
-    if kind == _CLASSIFIER:
-        if np.all(genders == MALE) or np.all(genders == FEMALE):
-            raise SingleClassInput("both gender classes are required")
-        X = ds.features
-        if np.all(X == X[0]):
-            raise SingleClassInput("all samples are identical; the classes cannot be separated")
-    elif split:
-        for g, name in ((MALE, "male"), (FEMALE, "female")):
-            if np.unique(ranks[genders == g]).size < 2:
-                raise InsufficientRanks(
-                    f"split ladders need the {name} samples to span >= 2 distinct ranks"
-                )
-    elif np.unique(ranks).size < 2:
-        raise InsufficientRanks("samples span a single rank; nothing to order")
-    return _build_terms(*args)
-
-
 def _terms(ds: Dataset, kind):
     """``ds``'s sample rows and :class:`~genage.smo.HingeTerms` of ``kind``,
-    kept in the dataset's store from the first call whose checks pass:
+    built on first use and kept in the dataset's store.  They are not
+    checked: a loss needs none, and a solve calls :func:`_check` first."""
+    if kind == _CLASSIFIER:
+        args = np.where(ds.gender == MALE, 2, 1), ds.gender, 2, False
+    else:
+        args = ds.age_rank, ds.gender, ds.num_ranks, kind == _SPLIT
+    return ds._derived(kind, lambda: _build_terms(*args))
+
+
+def _check(ds: Dataset, kind):
+    """Check that ``ds`` can pose a subproblem of ``kind``: raise
     ``SingleClassInput`` for a classifier that lacks a class or any class
     contrast, ``InsufficientRanks`` for ladders over fewer than two distinct
-    ranks."""
-    return ds._derived(kind, lambda: _derive_terms(ds, kind))
+    ranks.  A pass is kept in the dataset's store; a failure stores nothing,
+    so the next call raises again."""
 
+    def passes():
+        genders, ranks, X = ds.gender, ds.age_rank, ds.features
+        if kind == _CLASSIFIER:
+            if np.all(genders == MALE) or np.all(genders == FEMALE):
+                raise SingleClassInput("both gender classes are required")
+            if np.all(X == X[0]):
+                raise SingleClassInput("all samples are identical; the classes cannot be separated")
+        elif kind == _SPLIT:
+            for g, name in ((MALE, "male"), (FEMALE, "female")):
+                if np.unique(ranks[genders == g]).size < 2:
+                    raise InsufficientRanks(f"split ladders need the {name} samples to span >= 2 distinct ranks")
+        elif np.unique(ranks).size < 2:
+            raise InsufficientRanks("samples span a single rank; nothing to order")
+        return True
 
-def _loss_terms(ds: Dataset, kind):
-    """:func:`_terms`, for evaluating a loss, which needs no check: on a
-    dataset that fails the kind's check they are built and not stored."""
-    try:
-        return _terms(ds, kind)
-    except (SingleClassInput, InsufficientRanks):
-        return _build_terms(*_kind_args(ds, kind))
+    ds._derived(("checked", kind), passes)
 
 
 def _pose_problem(ds, kind, penalty, anchor, lambda3):
@@ -125,14 +118,13 @@ def _pose_problem(ds, kind, penalty, anchor, lambda3):
     and the whitening map, which also maps the solved direction back."""
     if penalty < 0 or lambda3 < 0:
         raise ValueError("the hinge weight and lambda3 must be nonnegative")
+    _check(ds, kind)
     rows, terms = _terms(ds, kind)
     X = ds.features
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (X.shape[1],):
-            raise DimensionMismatch(
-                f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
-            )
+            raise DimensionMismatch(f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)")
     shrink = rank1_shrink(anchor, lambda3)
     return HingeProblem(shrink(X)[rows], terms, float(penalty)), shrink
 
@@ -148,20 +140,11 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
     K = ds.num_ranks
     prob, shrink = _pose_problem(ds, _SPLIT if split_thresholds else _SHARED, lambda2, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
-    w = shrink(sol.v)
     if split_thresholds:
-        ladder_male = ThresholdLadder(sol.cuts[: K - 1])
-        ladder_female = ThresholdLadder(sol.cuts[K - 1:])
+        ladders = ThresholdLadder(sol.cuts[: K - 1]), ThresholdLadder(sol.cuts[K - 1:])
     else:
-        shared = ThresholdLadder(sol.cuts)
-        ladder_male = ladder_female = shared
-    return SvorSolution(
-        w=w,
-        ladder_male=ladder_male,
-        ladder_female=ladder_female,
-        objective=sol.objective,
-        iterations=sol.steps,
-    )
+        ladders = (ThresholdLadder(sol.cuts),) * 2  # one object in both fields
+    return SvorSolution(shrink(sol.v), *ladders, objective=sol.objective, iterations=sol.steps)
 
 
 def predict_ranks(scores, ladder: ThresholdLadder):

@@ -27,10 +27,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, TrainConfig, Variant
+from .core import FEMALE, MALE, Dataset, GenAgeModel, HyperParams, TrainConfig, Variant, _check_ladders
 from .errors import BadConfig, BadGenderLabel, DegenerateGender, DimensionMismatch, NonFiniteFeature
 from .svm import solve_svm
-from .svor import _CLASSIFIER, _SHARED, _SPLIT, _loss_terms, _objective, predict_ranks, solve_svor
+from .svor import _CLASSIFIER, _SPLIT, _objective, _terms, predict_ranks, solve_svor
 
 
 def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male, ladder_female):
@@ -39,24 +39,21 @@ def objective_value(ds: Dataset, hyper: HyperParams, w_g, b_g, w_a, ladder_male,
     The classifier's subproblem objective without coupling plus the ordinal
     one coupled on ``w_g``; slack values are the margin violations of the
     given state, so the result is exact for any (w_g, b_g, w_a, ladders),
-    fitted or not.  The hinge terms are the dataset's stored ones.
+    fitted or not.  It reads the dataset's stored terms, unchecked, and the
+    split terms serve a shared ladder too: each term reads the same cut value.
     """
     w_g = np.asarray(w_g, dtype=float)
     w_a = np.asarray(w_a, dtype=float)
     if w_g.shape != (ds.dim,) or w_a.shape != (ds.dim,):
         raise DimensionMismatch("state dimensions do not match the dataset")
+    _check_ladders(ladder_male=ladder_male, ladder_female=ladder_female)
     if ladder_male.num_ranks != ds.num_ranks or ladder_female.num_ranks != ds.num_ranks:
         raise DimensionMismatch(f"each ladder must hold {ds.num_ranks - 1} cuts, got "
                                 f"{ladder_male.num_ranks - 1} and {ladder_female.num_ranks - 1}")
     X = ds.features
-    # one ladder object reads the same cut values through the shared terms
-    # as through the split ones, term for term in the same order
-    shared = ladder_male is ladder_female
-    cuts = ladder_male.cuts if shared else np.concatenate((ladder_male.cuts, ladder_female.cuts))
-    clf = _loss_terms(ds, _CLASSIFIER)
-    ordinal = _loss_terms(ds, _SHARED if shared else _SPLIT)
-    return (_objective(*clf, X, hyper.lambda1, None, 0.0, w_g, np.array([-float(b_g)]))
-            + _objective(*ordinal, X, hyper.lambda2, w_g, hyper.lambda3, w_a, cuts))
+    cuts = np.concatenate((ladder_male.cuts, ladder_female.cuts))
+    return (_objective(*_terms(ds, _CLASSIFIER), X, hyper.lambda1, None, 0.0, w_g, np.array([-float(b_g)]))
+            + _objective(*_terms(ds, _SPLIT), X, hyper.lambda2, w_g, hyper.lambda3, w_a, cuts))
 
 
 def fit(ds: Dataset, cfg: TrainConfig | None = None) -> GenAgeModel:

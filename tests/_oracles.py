@@ -39,6 +39,10 @@ def hinge_qp_oracle(X, anchor, lam3, penalty, terms, n_cuts, chains):
         g[d + n_cuts:] = penalty
         return g
 
+    # the objective is quadratic in w and linear in the cuts and slacks
+    hessian = np.zeros((nv, nv))
+    hessian[:d, :d] = metric
+
     rows, lower = [], []
     for t, (i, tau, cut) in enumerate(terms):
         # tau*(w.x - c) + 1 <= xi   ->   -tau*w.x + tau*c + xi >= 1
@@ -79,7 +83,7 @@ def hinge_qp_oracle(X, anchor, lam3, penalty, terms, n_cuts, chains):
     res = minimize(obj, np.zeros(nv), jac=jac, constraints=constraints,
                    method="SLSQP", options={"maxiter": 1000, "ftol": 1e-14})
     best = min(best, hinge_form(res.x))
-    res = minimize(obj, np.zeros(nv), jac=jac, method="trust-constr",
+    res = minimize(obj, np.zeros(nv), jac=jac, hess=lambda theta: hessian, method="trust-constr",
                    constraints=[LinearConstraint(a_mat, lb, np.inf)],
                    options={"maxiter": 3000, "gtol": 1e-12, "xtol": 1e-14})
     return min(best, hinge_form(res.x))

@@ -10,12 +10,15 @@ from genage import (
     GenAgeModel,
     HyperParams,
     ThresholdLadder,
+    TrainConfig,
     Variant,
     fit,
     generate,
+    objective_value,
     validate_dataset,
 )
 from genage.errors import (
+    BadConfig,
     BadGenderLabel,
     DimensionMismatch,
     GenAgeError,
@@ -197,3 +200,51 @@ def test_model_rejects_non_finite_weights(field, bad):
     values[field] = bad if field == "b_g" else [1.0, bad]
     with pytest.raises(GenAgeError, match=f"model field '{field}' must be finite"):
         GenAgeModel(**values, ladder_male=ladder, ladder_female=ladder, variant=Variant.TT)
+
+
+FOUR_ROWS = [[0.0], [1.0], [2.0], [3.0]], [1, -1, 1, -1], [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("year_map", [(1990,), (1990, 1991, 1992)])
+def test_a_year_map_of_the_wrong_length_is_rejected(year_map):
+    with pytest.raises(DimensionMismatch, match=f"{len(year_map)} entries for 2 ranks"):
+        Dataset(*FOUR_ROWS, rank_to_year=year_map)
+
+
+@pytest.mark.parametrize("year_map", [(1991, 1990), (1990, 1990), ("1990", "1991"), (1990.0, 1991.0),
+                                      (False, True)])
+def test_a_year_map_that_is_not_increasing_integers_is_rejected(year_map):
+    with pytest.raises(BadConfig, match="strictly increasing integers"):
+        Dataset(*FOUR_ROWS, rank_to_year=year_map)
+
+
+def test_a_year_map_that_is_not_a_sequence_is_rejected():
+    with pytest.raises(BadConfig, match="must be a sequence, got 1990"):
+        Dataset(*FOUR_ROWS, rank_to_year=1990)
+
+
+def test_a_year_map_of_numpy_integers_is_kept_as_python_integers():
+    ds = Dataset(*FOUR_ROWS, rank_to_year=np.array([1990, 2000]))
+    assert ds.rank_to_year == (1990, 2000) and all(type(y) is int for y in ds.rank_to_year)
+
+
+@pytest.mark.parametrize("num_ranks", [2.5, 2.0, True, "2"])
+def test_num_ranks_must_be_an_integer(num_ranks):
+    with pytest.raises(BadConfig, match="num_ranks must be an integer"):
+        Dataset(*FOUR_ROWS, num_ranks=num_ranks)
+    assert Dataset(*FOUR_ROWS, num_ranks=np.int64(3)).num_ranks == 3
+
+
+def test_train_config_rejects_hyper_that_is_not_hyperparams():
+    with pytest.raises(BadConfig, match="hyper must be a HyperParams, got dict"):
+        TrainConfig(hyper={"lambda1": 1.0})
+
+
+def test_a_ladder_that_is_not_a_threshold_ladder_is_named():
+    ladder = ThresholdLadder([0.0])
+    with pytest.raises(LadderOrderError, match="ladder_female must be a ThresholdLadder, got list"):
+        GenAgeModel(w_g=[1.0], b_g=0.0, w_a=[1.0], ladder_male=ladder, ladder_female=[0.0],
+                    variant=Variant.TT)
+    ds = Dataset(*FOUR_ROWS)
+    with pytest.raises(LadderOrderError, match="ladder_male must be a ThresholdLadder, got list"):
+        objective_value(ds, HyperParams(), [1.0], 0.0, [1.0], [0.0], ladder)

@@ -13,12 +13,19 @@ from _oracles import svm_oracle, svor_oracle
 
 # --------------------------------------------------- interior-point warm start
 
+def sorted_problem(z, tau, cut, n_cuts, chains, lam):
+    """The problem of the given terms, stably sorted by cut as the solver reads them."""
+    order = np.argsort(cut, kind="stable")
+    return smo.HingeProblem(z[order], smo.hinge_terms(tau[order], cut[order], n_cuts, chains), lam)
+
+
 def random_hinge_problem(seed):
     """Seeded problems: 1-5 cuts with terms, 6-79 terms, d from 1 to more
     than the terms, features scaled by 1e-4, 1 or 1e4, lambda from 1e-2 to
     1e4; some with one one-sided cut, some with every cut one-sided.  Half
     are chained: up to two cuts with no terms go before and after each cut
-    with terms, and the cuts are cut into runs, each one chain."""
+    with terms, and the cuts are cut into runs, each one chain.  The terms
+    are drawn in random cut order, then sorted."""
     rng = np.random.default_rng(seed)
     n_cuts = int(rng.integers(1, 6))
     size = int(rng.integers(6, 80))
@@ -39,14 +46,14 @@ def random_hinge_problem(seed):
         cut, n_cuts = new_id[cut], int(new_id[-1] + 1 + gaps[-1])
         runs = np.split(np.arange(n_cuts), np.flatnonzero(rng.random(n_cuts - 1) < 0.3) + 1)
         chains = tuple(tuple(int(j) for j in run) for run in runs)
-    return smo.HingeProblem(z, smo.hinge_terms(tau, cut, n_cuts, chains), lam)
+    return sorted_problem(z, tau, cut, n_cuts, chains, lam)
 
 
 def solve_keeping_duals(prob, monkeypatch, tol=1e-6):
-    """solve_hinge_dual's solution and its duals in the problem's term order."""
+    """solve_hinge_dual's solution and its duals."""
     finish, finished = smo._DualSolver.solve, []
     monkeypatch.setattr(smo._DualSolver, "solve", lambda self, tol: finished.append(self) or finish(self, tol))
-    return smo.solve_hinge_dual(prob, tol=tol), finished[-1].duals()
+    return smo.solve_hinge_dual(prob, tol=tol), finished[-1].beta
 
 
 def assert_certified_chained_optimum(prob, sol, beta, tol=1e-6):
@@ -83,7 +90,7 @@ def test_interior_point_hands_over_a_near_optimal_feasible_dual(seed):
     one_sided = both == 0
     assert np.all(beta[one_sided[terms.cut]] == 0.0)
     solver = smo._DualSolver(prob, warm=beta)
-    balance = np.bincount(terms.cut, terms.tau * solver.duals(), terms.n_cuts)
+    balance = np.bincount(terms.cut, terms.tau * solver.beta, terms.n_cuts)
     assert np.abs(balance).max() <= 1e-12 * prob.penalty * prob.z.shape[0]
     # the warm start solves the dual without the chains
     unchained = dataclasses.replace(prob, terms=smo.hinge_terms(terms.tau, terms.cut, terms.n_cuts, ()))
@@ -145,8 +152,8 @@ def test_warm_start_from_degenerate_features_raises_no_warning(features):
     rng = np.random.default_rng(3)
     z = {"zero": np.zeros((60, 4)), "constant": np.full((60, 1), 2.5),
          "tiny": 1e-6 * rng.normal(size=(60, 4))}[features]
-    prob = smo.HingeProblem(z, smo.hinge_terms(rng.choice([-1.0, 1.0], 60), rng.integers(0, 3, 60), 3, ((0, 1, 2),)),
-                            10.0)
+    tau = rng.choice([-1.0, 1.0], 60)
+    prob = sorted_problem(z, tau, rng.integers(0, 3, 60), 3, ((0, 1, 2),), 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         beta, iterations = _ipm_warm_start(prob)
@@ -177,6 +184,14 @@ def test_malformed_chains_are_rejected(chains):
         smo.hinge_terms(np.array([1.0, -1.0]), np.array([0, 2]), 3, chains)
 
 
+def test_terms_not_sorted_by_cut_are_rejected():
+    """The solver reads each cut's terms as one slice: unsorted terms would
+    solve to a wrong answer without an error."""
+    with pytest.raises(ValueError, match="sorted by cut"):
+        smo.hinge_terms(np.array([1.0, -1.0, 1.0]), np.array([0, 2, 1]), 3, ((0, 1, 2),))
+    smo.hinge_terms(np.array([1.0, -1.0, 1.0]), np.array([0, 1, 2]), 3, ((0, 1, 2),))
+
+
 def test_duals_within_the_bound_slack_are_put_on_their_bound():
     """The classifier at lambda = 1e4 from its certified optimum, with 5e-9 to
     5e-7 put on each zero dual (the slack is 1e-6) and the balance restored:
@@ -187,7 +202,7 @@ def test_duals_within_the_bound_slack_are_put_on_their_bound():
     prob = smo.HingeProblem(ds.features, smo.hinge_terms(tau, np.zeros(tau.size, dtype=int), 1, ()), 1e4)
     solver = smo._DualSolver(prob)
     solver.solve(1e-9)
-    optimum = solver.duals()
+    optimum = solver.beta
     zero = optimum == 0.0
     assert zero.sum() == 392
     rng = np.random.default_rng(0)

@@ -153,21 +153,26 @@ def test_a_failed_check_stores_nothing_and_raises_again():
         with pytest.raises(SingleClassInput):
             solve_svm(one_class, 1.0)
         assert one_class._store == {}
-    # a loss needs no check: on split ladders it builds the terms and stores none
+
+
+def test_a_loss_on_data_that_fails_a_check_stores_the_unchecked_terms():
+    ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1], [1, 2, 1, 1], num_ranks=2)
     value = objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), ThresholdLadder([0.0]),
                             ThresholdLadder([1.0]))
     assert value == pytest.approx(loop_svm_objective(ds.features, ds.gender, 10.0, None, 0.0, np.ones(1), 0.0)
                                   + loop_svor_objective(ds.features, ds.age_rank, ds.gender, 10.0, np.ones(1),
                                                         1000.0, np.ones(1), [0.0], [1.0]), rel=1e-15)
-    assert svor._SPLIT not in ds._store
-    # the kinds whose checks pass are kept, and the solve after them poses the same terms
-    solve_svor(ds, 1.0, split_thresholds=False)
-    assert sorted(ds._store) == [svor._CLASSIFIER, svor._SHARED]
-    entry = ds._store[svor._SHARED]
+    assert sorted(ds._store) == [svor._CLASSIFIER, svor._SPLIT]
+    entry = ds._store[svor._SPLIT]
     rows, terms = entry
-    assert not any(arr.flags.writeable for arr in (rows, terms.tau, terms.cut, terms.perm, terms.keep))
-    solve_svor(ds, 2.0, split_thresholds=False)
-    assert ds._store[svor._SHARED] is entry
+    assert not any(arr.flags.writeable for arr in (rows, terms.tau, terms.cut, terms.keep))
+    # stored terms pass no check: the split solve still raises and stores no
+    # pass, while the shared one passes its check and stores it
+    with pytest.raises(InsufficientRanks, match="female"):
+        solve_svor(ds, 1.0, split_thresholds=True)
+    solve_svor(ds, 1.0, split_thresholds=False)
+    assert ds._store[svor._SPLIT] is entry
+    assert sorted(ds._store, key=str) == [("checked", svor._SHARED), svor._CLASSIFIER, svor._SHARED, svor._SPLIT]
 
 
 def test_negative_weights_rejected():
@@ -206,8 +211,9 @@ def reference_terms(ranks, genders, num_ranks, split):
 @pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_terms_match_the_per_sample_loop_in_order(seed, split):
-    """The solver's stable sorts see the terms in this order, so the order
-    is compared too: K = 2, ranks missing for one gender, and larger K."""
+    """The loop's terms stably sorted by cut, the order the solver reads, so
+    the order is compared too: K = 2, ranks missing for one gender, and
+    larger K."""
     rng = np.random.default_rng(seed)
     num_ranks = [2, 5, 9][seed % 3]
     n = int(rng.integers(1, 60))
@@ -217,6 +223,8 @@ def test_terms_match_the_per_sample_loop_in_order(seed, split):
         ranks[(genders == 1) & (ranks == (num_ranks + 1) // 2)] = 1  # a middle rank missing for males
     rows, terms = svor._build_terms(ranks, genders, num_ranks, split)
     want = reference_terms(ranks, genders, num_ranks, split)
+    order = np.argsort(want[2], kind="stable")
     for got, ref in zip((rows, terms.tau, terms.cut), want):
+        ref = ref[order]
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
     assert terms.n_cuts == (2 if split else 1) * (num_ranks - 1) and len(terms.chains) == (2 if split else 1)
