@@ -49,6 +49,7 @@ from .core import (
     ThresholdLadder,
     TrainConfig,
     Variant,
+    _year_map,
     validate_dataset,
 )
 from .errors import BadConfig, GenAgeError, ParseError
@@ -226,7 +227,7 @@ def ingest_csv(path) -> Dataset:
         ranks, year_map = ages, None
     else:
         ranks = np.searchsorted(unique, ages) + 1
-        year_map = tuple(int(v) for v in unique)
+        year_map = unique
     return validate_dataset(Dataset._adopt(features, genders, ranks, rank_to_year=year_map))
 
 
@@ -234,7 +235,7 @@ def _age_column(ranks, year_map):
     """The age each rank is written as: the rank itself, or its year."""
     if year_map is None:
         return ranks
-    return np.asarray([int(v) for v in year_map])[ranks - 1]
+    return np.asarray(year_map)[ranks - 1]
 
 
 def _format_block(features, genders, ages):
@@ -387,13 +388,7 @@ def _cmd_predict(args):
     fields = _json_fields(payload, {"rank_to_year": tuple})
     year_map = fields.get("rank_to_year")
     if year_map is not None:
-        if not (all(type(v) is int for v in year_map)
-                and all(map(int.__lt__, year_map, year_map[1:]))):
-            raise GenAgeError(f"model field 'rank_to_year' must be a list of increasing "
-                              f"integers, got {list(year_map)!r}")
-        if len(year_map) != model.num_ranks:
-            raise GenAgeError(f"model year map has {len(year_map)} entries for "
-                              f"{model.num_ranks} ranks")
+        year_map = _year_map(year_map, model.num_ranks, "model field 'rank_to_year'")
     # the ages are not read, so a file of one age needs no second rank
     features, _, _ = _read_csv(args.data)
     genders, ranks = predict_batch(model, features)

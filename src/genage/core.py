@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import operator
@@ -39,6 +38,21 @@ FEMALE = -1
 def _is_int(value):
     """Whether ``value`` is an integer, Python's or numpy's, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _year_map(years, num_ranks, name="rank_to_year"):
+    """``years`` as the map of ``num_ranks`` ranks to years, a tuple of Python
+    ints: ``BadConfig`` unless it is a sequence of strictly increasing
+    integers, ``DimensionMismatch`` unless it holds ``num_ranks`` of them."""
+    try:
+        years = tuple(years)
+    except TypeError:
+        raise BadConfig(f"{name} must be a sequence, got {years!r}") from None
+    if not all(map(_is_int, years)) or any(map(operator.ge, years, years[1:])):
+        raise BadConfig(f"{name} must be a list of increasing integers, got {list(years)!r}")
+    if len(years) != num_ranks:
+        raise DimensionMismatch(f"{name} has {len(years)} entries for {num_ranks} ranks")
+    return tuple(map(int, years))
 
 
 def _check_ladders(**ladders):
@@ -106,8 +120,10 @@ class Dataset:
     def _hold(self, features, gender, age_rank, num_ranks, rank_to_year):
         """Check the shapes, then freeze and keep the given arrays."""
         if features.shape[0] != gender.shape[0] or features.shape[0] != age_rank.shape[0]:
-            raise DimensionMismatch(f"features ({features.shape[0]} rows), gender ({gender.shape[0]}) and "
-                                    f"age_rank ({age_rank.shape[0]}) must have equal lengths")
+            raise DimensionMismatch(
+                f"features ({features.shape[0]} rows), gender ({gender.shape[0]}) and "
+                f"age_rank ({age_rank.shape[0]}) must have equal lengths"
+            )
         if num_ranks is None:
             num_ranks = int(age_rank.max()) if age_rank.size else 2
         if not _is_int(num_ranks):
@@ -115,15 +131,7 @@ class Dataset:
         if num_ranks < 2:
             raise InsufficientRanks(f"num_ranks must be at least 2, got {num_ranks}")
         if rank_to_year is not None:
-            try:
-                rank_to_year = tuple(rank_to_year)
-            except TypeError:
-                raise BadConfig(f"rank_to_year must be a sequence, got {rank_to_year!r}") from None
-            if len(rank_to_year) != num_ranks:
-                raise DimensionMismatch(f"rank_to_year has {len(rank_to_year)} entries for {num_ranks} ranks")
-            if not all(map(_is_int, rank_to_year)) or any(map(operator.ge, rank_to_year, rank_to_year[1:])):
-                raise BadConfig(f"rank_to_year must hold strictly increasing integers, got {list(rank_to_year)!r}")
-            rank_to_year = tuple(map(int, rank_to_year))
+            rank_to_year = _year_map(rank_to_year, num_ranks)
         for arr in (features, gender, age_rank):
             arr.setflags(write=False)
         self.features, self.gender, self.age_rank = features, gender, age_rank
@@ -156,8 +164,13 @@ class Dataset:
     def subset(self, indices):
         """A new dataset holding the given rows; keeps K and the year map."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset._adopt(self.features[idx], self.gender[idx], self.age_rank[idx],
-                              num_ranks=self.num_ranks, rank_to_year=self.rank_to_year)
+        return Dataset._adopt(
+            self.features[idx],
+            self.gender[idx],
+            self.age_rank[idx],
+            num_ranks=self.num_ranks,
+            rank_to_year=self.rank_to_year,
+        )
 
     def __len__(self):
         return self.n
@@ -251,7 +264,9 @@ class HyperParams:
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 
     def replace(self, **changes):
-        return dataclasses.replace(self, **changes)
+        from dataclasses import replace
+
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,9 @@ def _pose_problem(ds, kind, penalty, anchor, lambda3):
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (X.shape[1],):
-            raise DimensionMismatch(f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)")
+            raise DimensionMismatch(
+                f"anchor has dimension {anchor.shape}, expected ({X.shape[1]},)"
+            )
     shrink = rank1_shrink(anchor, lambda3)
     return HingeProblem(shrink(X)[rows], terms, float(penalty)), shrink
 
@@ -140,11 +142,20 @@ def solve_svor(ds: Dataset, lambda2, anchor=None, lambda3=0.0, split_thresholds=
     K = ds.num_ranks
     prob, shrink = _pose_problem(ds, _SPLIT if split_thresholds else _SHARED, lambda2, anchor, lambda3)
     sol = solve_hinge_dual(prob, tol=tol)
+    w = shrink(sol.v)
     if split_thresholds:
-        ladders = ThresholdLadder(sol.cuts[: K - 1]), ThresholdLadder(sol.cuts[K - 1:])
+        ladder_male = ThresholdLadder(sol.cuts[: K - 1])
+        ladder_female = ThresholdLadder(sol.cuts[K - 1:])
     else:
-        ladders = (ThresholdLadder(sol.cuts),) * 2  # one object in both fields
-    return SvorSolution(shrink(sol.v), *ladders, objective=sol.objective, iterations=sol.steps)
+        shared = ThresholdLadder(sol.cuts)
+        ladder_male = ladder_female = shared
+    return SvorSolution(
+        w=w,
+        ladder_male=ladder_male,
+        ladder_female=ladder_female,
+        objective=sol.objective,
+        iterations=sol.steps,
+    )
 
 
 def predict_ranks(scores, ladder: ThresholdLadder):

@@ -214,7 +214,7 @@ def test_a_year_map_of_the_wrong_length_is_rejected(year_map):
 @pytest.mark.parametrize("year_map", [(1991, 1990), (1990, 1990), ("1990", "1991"), (1990.0, 1991.0),
                                       (False, True)])
 def test_a_year_map_that_is_not_increasing_integers_is_rejected(year_map):
-    with pytest.raises(BadConfig, match="strictly increasing integers"):
+    with pytest.raises(BadConfig, match="must be a list of increasing integers"):
         Dataset(*FOUR_ROWS, rank_to_year=year_map)
 
 

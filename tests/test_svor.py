@@ -155,7 +155,7 @@ def test_a_failed_check_stores_nothing_and_raises_again():
         assert one_class._store == {}
 
 
-def test_a_loss_on_data_that_fails_a_check_stores_the_unchecked_terms():
+def test_a_loss_on_data_that_fails_a_check_stores_the_unchecked_terms(monkeypatch):
     ds = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1], [1, 2, 1, 1], num_ranks=2)
     value = objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), ThresholdLadder([0.0]),
                             ThresholdLadder([1.0]))
@@ -163,7 +163,7 @@ def test_a_loss_on_data_that_fails_a_check_stores_the_unchecked_terms():
                                   + loop_svor_objective(ds.features, ds.age_rank, ds.gender, 10.0, np.ones(1),
                                                         1000.0, np.ones(1), [0.0], [1.0]), rel=1e-15)
     assert sorted(ds._store) == [svor._CLASSIFIER, svor._SPLIT]
-    entry = ds._store[svor._SPLIT]
+    classifier, entry = ds._store[svor._CLASSIFIER], ds._store[svor._SPLIT]
     rows, terms = entry
     assert not any(arr.flags.writeable for arr in (rows, terms.tau, terms.cut, terms.keep))
     # stored terms pass no check: the split solve still raises and stores no
@@ -171,8 +171,16 @@ def test_a_loss_on_data_that_fails_a_check_stores_the_unchecked_terms():
     with pytest.raises(InsufficientRanks, match="female"):
         solve_svor(ds, 1.0, split_thresholds=True)
     solve_svor(ds, 1.0, split_thresholds=False)
-    assert ds._store[svor._SPLIT] is entry
     assert sorted(ds._store, key=str) == [("checked", svor._SHARED), svor._CLASSIFIER, svor._SHARED, svor._SPLIT]
+    # a second loss and a second solve read the stored terms and build none
+    shared = ds._store[svor._SHARED]
+    builds = []
+    monkeypatch.setattr(svor, "_build_terms", lambda *args: builds.append(args))
+    assert objective_value(ds, HyperParams(), np.ones(1), 0.0, np.ones(1), ThresholdLadder([0.0]),
+                           ThresholdLadder([1.0])) == value
+    solve_svor(ds, 2.0, split_thresholds=False)
+    assert ds._store[svor._CLASSIFIER] is classifier and ds._store[svor._SPLIT] is entry
+    assert ds._store[svor._SHARED] is shared and len(ds._store) == 4 and builds == []
 
 
 def test_negative_weights_rejected():
