@@ -49,12 +49,13 @@ from .core import (
     ThresholdLadder,
     TrainConfig,
     Variant,
+    _is_real,
     _year_map,
     validate_dataset,
 )
 from .errors import BadConfig, GenAgeError, ParseError
 from .evaluate import cross_validate, hyper_grid, run_experiment
-from .synth import SynthConfig, _is_real, generate
+from .synth import SynthConfig, generate
 from .train import fit, predict_batch
 
 SCHEMA_VERSION = 1
@@ -321,7 +322,7 @@ def _load_synth_config(path):
     unknown = payload.keys() - SynthConfig.__dataclass_fields__.keys()
     if unknown:
         raise GenAgeError(f"unknown synth config keys: {sorted(unknown)}")
-    # SynthConfig names a field of the wrong type
+    # SynthConfig names a field of the wrong type or value
     return SynthConfig(**{key: tuple(v) if type(v) is list else v for key, v in payload.items()})
 
 

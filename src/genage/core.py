@@ -40,6 +40,17 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number, not a bool, that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an integer too large
+        return False
+    return True
+
+
 def _year_map(years, num_ranks, name="rank_to_year"):
     """``years`` as the map of ``num_ranks`` ranks to years, a tuple of Python
     ints: ``BadConfig`` unless it is a sequence of strictly increasing
@@ -245,6 +256,8 @@ class HyperParams:
 
     lambda1 weighs the gender hinge loss, lambda2 the ordinal slack sum,
     lambda3 the squared inner-product coupling between the two directions.
+    A value that is no number, a bool among them, raises ``ValueError`` as a
+    number out of range does.
     """
 
     lambda1: float = 10.0
@@ -255,11 +268,11 @@ class HyperParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
+        if not all(_is_real(w) and 0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
             raise ValueError("all trade-off weights must be finite and nonnegative")
-        if not isinstance(self.t_max, numbers.Integral) or self.t_max < 1:
+        if not _is_int(self.t_max) or self.t_max < 1:
             raise ValueError("t_max must be a positive integer")
-        if not 0 < self.tol < math.inf:
+        if not (_is_real(self.tol) and 0 < self.tol < math.inf):
             raise ValueError("tol must be finite and positive")
         object.__setattr__(self, "variant", Variant.parse(self.variant))
 

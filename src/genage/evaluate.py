@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant
+from .core import FEMALE, MALE, Dataset, HyperParams, TrainConfig, Variant, _is_int
 from .errors import BadConfig, EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
 from .pls import fit_pls_dataset, predict_pls_batch, truncate_pls
 from .synth import SynthConfig, generate
@@ -289,6 +289,8 @@ def run_experiment(data, methods, train_per_rank, runs=10, hyper=None, seed=0):
         if methods.count(m) > 1:
             raise ValueError(f"method {m!r} is listed more than once")
     for name, value in (("runs", runs), ("train_per_rank", train_per_rank)):
+        if not _is_int(value):
+            raise BadConfig(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise BadConfig(f"{name} must be at least 1, got {value}")
     ds = generate(data) if isinstance(data, SynthConfig) else data

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset
+from .core import FEMALE, MALE, Dataset, _is_int
 from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, RankDeficient
 
 
@@ -60,7 +60,7 @@ def fit_pls(X, Y, n_components, num_ranks=None):
     n, d = X.shape
     if n < 2:
         raise BadConfig("at least two samples are required")
-    if not 1 <= n_components <= min(d, n - 1):
+    if not _is_int(n_components) or not 1 <= n_components <= min(d, n - 1):
         raise BadConfig(f"n_components must lie in 1..{min(d, n - 1)}")
     if num_ranks is None:
         num_ranks = max(2, int(round(float(Y[:, 1].max()))))
@@ -118,7 +118,7 @@ def truncate_pls(model: PlsModel, n_components):
     it, so this is the model ``fit_pls`` returns for that count, and a
     search over counts can fit once at the largest.
     """
-    if not 1 <= n_components <= model.n_components:
+    if not _is_int(n_components) or not 1 <= n_components <= model.n_components:
         raise BadConfig(f"n_components must lie in 1..{model.n_components}")
     W = model.x_weights[:, :n_components].copy()
     P = model.x_loadings[:, :n_components].copy()

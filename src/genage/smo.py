@@ -407,13 +407,15 @@ class _DualSolver:
         The multiplier of c[k] <= c[k+1] is the running sum along the chain
         of the cut balances sum_{t in cut} tau_t beta_t.  Cut k joins cut k+1
         in one segment while it exceeds the slack.  Returns the segments as
-        (first cut, end cut) pairs, the running sums and the joined mask.
+        (first cut, end cut) pairs, the running sums, the joined mask and
+        the segment of each cut.
         """
         balances = np.bincount(self.cut, self.tau * self.beta, self.n_cuts)
         sums = self._running_sums(balances)
         joined = ~self.tail & (sums > _BOUND_SLACK * max(1.0, self.lam))
         ends = (np.flatnonzero(~joined) + 1).tolist()
-        return list(zip([0] + ends[:-1], ends)), sums, joined
+        segment = np.concatenate(([0], np.cumsum(~joined[:-1])))
+        return list(zip([0] + ends[:-1], ends)), sums, joined, segment
 
     # -------------------------------------------------------------- SMO sweeps
 
@@ -429,7 +431,7 @@ class _DualSolver:
         """
         lam, tau, beta, z, s = self.lam, self.tau, self.beta, self.z, self.s
         tiny = _BOUND_SLACK * max(1.0, lam)
-        segments, sums, _ = self._segments()
+        segments, sums, _, _ = self._segments()
         worst = 0.0
         carry = -1  # the best raisable term of the chain's earlier segments
         for first, end in segments:
@@ -492,8 +494,6 @@ class _DualSolver:
             sweeps += 1
             if sweeps % 64 == 0:
                 self._polish()
-            if sweeps % 512 == 0:
-                self._refresh()  # guard against drift in the updated v and scores
 
     # ----------------------------------------------------- Newton face polish
 
@@ -515,12 +515,11 @@ class _DualSolver:
             work = np.flatnonzero((self.beta > tiny) & (self.beta < lam - tiny))
             if work.size == 0:
                 return
-            _, sums, joined = self._segments()
-            segment_of_cut = np.cumsum(np.concatenate(([True], ~joined[:-1])))
+            _, sums, joined, segment = self._segments()
             tau_w = self.tau[work]
             cut_w = self.cut[work]
             grad = 1.0 + tau_w * self.s[work]  # dD/dbeta over the working set
-            step, unbounded = _face_step(self.z[work], tau_w, segment_of_cut[cut_w], grad)
+            step, unbounded = _face_step(self.z[work], tau_w, segment[cut_w], grad)
             if step is None:
                 return
             size = float(np.abs(step).max(initial=0.0))
@@ -550,48 +549,34 @@ class _DualSolver:
 
     # ------------------------------------------------------- cut-value recovery
 
-    def _segment_interval(self, sl):
-        """Flat optimal interval of one segment's cut value given the current v."""
-        if sl.stop == sl.start:
-            return None
-        t = self.tau[sl]
-        sc = self.s[sl]
-        bps = np.sort(np.where(t > 0, 1.0 + sc, sc - 1.0))
-        n_up = int(np.sum(t > 0))
-        if n_up == 0:
-            return (-np.inf, bps[0])
-        if n_up == bps.size:
-            return (bps[-1], np.inf)
-        return (bps[n_up - 1], bps[n_up])
-
-    @staticmethod
-    def _pick(lo, hi):
-        # a segment with terms has at least one finite end, and narrowing keeps it
-        if np.isinf(lo):
-            return float(hi)
-        if np.isinf(hi):
-            return float(lo)
-        return 0.5 * (lo + hi)
-
     def _recover_cuts(self):
-        n_cuts = self.n_cuts
-        segments, _, _ = self._segments()
-        lo, hi = np.full(n_cuts, -np.inf), np.full(n_cuts, np.inf)
-        valued = np.zeros(n_cuts, dtype=bool)
-        for first, end in segments:
-            interval = self._segment_interval(slice(self.bounds[first], self.bounds[end]))
-            if interval is not None:
-                lo[first:end], hi[first:end] = interval
-                valued[first:end] = True
+        segments, _, _, segment = self._segments()
+        n_segments = len(segments)
+        of_term = segment[self.cut]
+        up = self.tau > 0
+        # every segment's breakpoints in ascending order, the segments in cut
+        # order, between two sentinels
+        points = np.where(up, 1.0 + self.s, self.s - 1.0)
+        points = np.concatenate(([-np.inf], points[np.lexsort((points, of_term))], [np.inf]))
+        count = np.bincount(of_term, minlength=n_segments)
+        n_up = np.bincount(of_term[up], minlength=n_segments)
+        # the flat interval of a segment lies between its n_up-th breakpoint
+        # and the next, open below without a tau > 0 term and above without a
+        # tau < 0 one; a segment without terms is left open on both sides
+        at = np.cumsum(count) - count + n_up
+        lo = np.where(n_up > 0, points[at], -np.inf)[segment]
+        hi = np.where(n_up < count, points[at + 1], np.inf)[segment]
+        valued = (count > 0)[segment]
         # a cut can sit no lower than an earlier cut's interval allows, nor
         # higher than a later one's: narrowed so, the picks come out sorted
         for ch in self.chains:
             lo[ch] = np.maximum.accumulate(lo[ch])
             hi[ch] = np.minimum.accumulate(hi[ch][::-1])[::-1]
-        values = np.full(n_cuts, np.nan)
-        for first, end in segments:
-            if valued[first]:
-                values[first:end] = self._pick(lo[first], hi[first])
+        # a segment with terms has at least one finite end, and narrowing
+        # keeps it: a half-open interval is picked at that end
+        lo, hi = lo[valued], hi[valued]
+        values = np.full(self.n_cuts, np.nan)
+        values[valued] = np.where(np.isinf(lo), hi, np.where(np.isinf(hi), lo, 0.5 * (lo + hi)))
         # cuts with no terms at all are interpolated along their chain; a
         # half-open interval is picked at its finite end, which can pass a
         # later pick, and the running max moves it up inside the later intervals

@@ -16,12 +16,11 @@ noise and act as distractors.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FEMALE, MALE, Dataset, validate_dataset
+from .core import FEMALE, MALE, Dataset, _is_int, _is_real, validate_dataset
 from .errors import BadConfig
 
 _BIN_INSET = 0.05   # keep age positions strictly inside their bin
@@ -30,6 +29,9 @@ _OUTER_MARGIN = 2.0  # width of the two unbounded outer bins
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The settings of :func:`generate`, each checked for its type and then
+    its value when the config is built: a bad one raises ``BadConfig``."""
+
     dim: int = 10
     num_ranks: int = 5
     samples_per_cell: int = 40
@@ -44,7 +46,7 @@ class SynthConfig:
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if kind is int:
-                ok, name = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+                ok, name = _is_int(value), "an integer"
             elif kind is float:
                 ok, name = _is_real(value), "a number"
             else:
@@ -53,22 +55,26 @@ class SynthConfig:
                 name = "a sequence of numbers"
             if not ok:
                 raise BadConfig(f"synth config field {f.name!r} must be {name}, got {value!r}")
+        if self.dim < 2:
+            raise BadConfig("dim must be at least 2")
+        if self.num_ranks < 2:
+            raise BadConfig("num_ranks must be at least 2")
+        if self.samples_per_cell < 1:
+            raise BadConfig("samples_per_cell must be positive")
+        if not self.gender_gap > 0:
+            raise BadConfig("gender_gap must be positive")
+        if self.noise_sigma < 0 or self.discrepancy < 0:
+            raise BadConfig("noise_sigma and discrepancy must be nonnegative")
+        male = np.asarray(self.male_cut_centers, dtype=float)
+        if male.shape != (self.num_ranks - 1,):
+            raise BadConfig("cut centers must have length num_ranks - 1")
+        if np.any(male[1:] < male[:-1]):
+            raise BadConfig("cut centers must be non-decreasing")
 
     def replace(self, **changes):
         from dataclasses import replace
 
         return replace(self, **changes)
-
-
-def _is_real(value):
-    """Whether ``value`` is a real number, not a bool, that a float can hold."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        float(value)
-    except OverflowError:  # an integer too large
-        return False
-    return True
 
 
 def true_directions(cfg: SynthConfig):
@@ -88,24 +94,6 @@ def effective_cuts(cfg: SynthConfig):
     return male, male + cfg.discrepancy
 
 
-def _check(cfg):
-    if cfg.dim < 2:
-        raise BadConfig("dim must be at least 2")
-    if cfg.num_ranks < 2:
-        raise BadConfig("num_ranks must be at least 2")
-    if cfg.samples_per_cell < 1:
-        raise BadConfig("samples_per_cell must be positive")
-    if not cfg.gender_gap > 0:
-        raise BadConfig("gender_gap must be positive")
-    if cfg.noise_sigma < 0 or cfg.discrepancy < 0:
-        raise BadConfig("noise_sigma and discrepancy must be nonnegative")
-    male, _ = effective_cuts(cfg)
-    if male.shape != (cfg.num_ranks - 1,):
-        raise BadConfig("cut centers must have length num_ranks - 1")
-    if np.any(np.diff(male) < 0):
-        raise BadConfig("cut centers must be non-decreasing")
-
-
 def _bins(cuts):
     lows = np.concatenate(([cuts[0] - _OUTER_MARGIN], cuts))
     highs = np.concatenate((cuts, [cuts[-1] + _OUTER_MARGIN]))
@@ -115,7 +103,6 @@ def _bins(cuts):
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite feature raises NonFiniteFeature at the end
 def generate(cfg: SynthConfig) -> Dataset:
     """Draw the configured dataset; bit-identical for identical configs."""
-    _check(cfg)
     g_dir, a_dir = true_directions(cfg)
     cuts_m, cuts_f = effective_cuts(cfg)
     lows_m, highs_m = _bins(cuts_m)

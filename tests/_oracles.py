@@ -9,7 +9,9 @@ share no code with the package's hinge-term builder, and the evaluation
 harness's folds and splits as loops over the (gender, rank) cells, which
 share no code with its single sort of the rows.  The trainer's alternation
 is written out plainly on the package's own solvers and objective, to pin
-the control flow of ``fit``, not its solvers.
+the control flow of ``fit``, not its solvers.  The dual solver's cut values
+are recovered one tie segment at a time, against its one pass over all
+segments.
 """
 
 import numpy as np
@@ -299,3 +301,48 @@ def alternation_oracle(ds, hyper):
             break
     return GenAgeModel(w_g=w_g, b_g=b_g, w_a=w_a, ladder_male=ladder_m, ladder_female=ladder_f,
                        variant=variant, objective_trace=tuple(trace))
+
+
+def loop_recover_cuts(solver):
+    """The cut values of a dual solver's current state, one tie segment at a
+    time: each segment's breakpoints sorted on their own, its flat interval
+    read off them and its value picked alone.  The narrowing along each
+    chain and the interpolation of cuts without terms are the solver's."""
+    segments = solver._segments()[0]
+    lo, hi = np.full(solver.n_cuts, -np.inf), np.full(solver.n_cuts, np.inf)
+    valued = np.zeros(solver.n_cuts, dtype=bool)
+    for first, end in segments:
+        sl = slice(solver.bounds[first], solver.bounds[end])
+        if sl.stop == sl.start:
+            continue
+        t, sc = solver.tau[sl], solver.s[sl]
+        bps = np.sort(np.where(t > 0, 1.0 + sc, sc - 1.0))
+        n_up = int(np.sum(t > 0))
+        if n_up == 0:
+            interval = (-np.inf, bps[0])
+        elif n_up == bps.size:
+            interval = (bps[-1], np.inf)
+        else:
+            interval = (bps[n_up - 1], bps[n_up])
+        lo[first:end], hi[first:end] = interval
+        valued[first:end] = True
+    for ch in solver.chains:
+        lo[ch] = np.maximum.accumulate(lo[ch])
+        hi[ch] = np.minimum.accumulate(hi[ch][::-1])[::-1]
+    values = np.full(solver.n_cuts, np.nan)
+    for first, end in segments:
+        if not valued[first]:
+            continue
+        if np.isinf(lo[first]):
+            values[first:end] = hi[first]
+        elif np.isinf(hi[first]):
+            values[first:end] = lo[first]
+        else:
+            values[first:end] = 0.5 * (lo[first] + hi[first])
+    for ch in solver.chains:
+        run, known = values[ch], valued[ch]
+        if known.any():
+            run[~known] = np.interp(np.flatnonzero(~known), np.flatnonzero(known), run[known])
+            values[ch] = np.maximum.accumulate(run)
+    values[np.isnan(values)] = 0.0
+    return values

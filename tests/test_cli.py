@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genage import GenAgeModel, SynthConfig, ThresholdLadder, Variant, generate, run_experiment
-from genage.cli import _atomic_write, export_csv, ingest_csv, main, model_from_dict, model_to_dict
+from genage.cli import _atomic_write, _load_synth_config, export_csv, ingest_csv, main, model_from_dict, model_to_dict
 from genage.errors import BadConfig, ParseError
 from genage.train import predict_batch
 
@@ -463,6 +463,12 @@ def test_mistyped_synth_config_value_is_reported(tmp_path, capsys, payload, key)
     err = capsys.readouterr().err
     assert err.startswith("genage: error: synth config field") and repr(key) in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_synth_config_with_a_bad_value_fails_at_load(tmp_path):
+    bad = write(tmp_path / "bad.json", json.dumps({"dim": 1}))
+    with pytest.raises(BadConfig, match="dim must be at least 2"):
+        _load_synth_config(bad)
 
 
 @pytest.mark.parametrize("edit, message", [

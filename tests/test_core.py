@@ -142,6 +142,13 @@ def test_hyperparams_validation():
             HyperParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("t_max", True), ("lambda1", True), ("lambda1", "1"), ("tol", "1")])
+def test_hyperparams_that_are_no_numbers_raise_value_error(field, value):
+    # a bool is no number here, and a string raises the error of a bad number
+    with pytest.raises(ValueError):
+        HyperParams(**{field: value})
+
+
 @pytest.mark.parametrize("declared", [1, None])
 def test_fewer_than_two_ranks_names_k_and_no_sample(declared):
     # without a declaration K is the largest rank, 1 here

@@ -22,7 +22,7 @@ from genage import (
     split_train_test,
     stratified_folds,
 )
-from genage.errors import EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
+from genage.errors import BadConfig, EmptyInput, InfeasibleFolds, LengthMismatch, ZeroVector
 
 
 def cell_counts(ds):
@@ -278,6 +278,13 @@ def test_unknown_method_rejected():
     cfg = SynthConfig(samples_per_cell=8, dim=4, seed=10)
     with pytest.raises(ValueError):
         run_experiment(cfg, ["nonsense"], train_per_rank=8, runs=1)
+
+
+@pytest.mark.parametrize("name, value", [("runs", 2.5), ("runs", True), ("train_per_rank", 8.0)])
+def test_experiment_counts_that_are_no_integers_raise_bad_config(name, value):
+    counts = {"runs": 1, "train_per_rank": 8, name: value}
+    with pytest.raises(BadConfig, match=f"{name} must be an integer, got {value!r}"):
+        run_experiment(SynthConfig(samples_per_cell=8, dim=4), ["tt"], **counts)
 
 
 def nested_refit_pls_selection(ds, max_components=8, folds=5):

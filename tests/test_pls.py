@@ -162,6 +162,17 @@ def test_component_bounds_checked():
             fit_pls(bad_x, bad_y, n_components=1)
 
 
+@pytest.mark.parametrize("count", [1.5, 2.0, True])
+def test_component_counts_that_are_no_integers_raise_bad_config(count):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(8, 3))
+    Y = rng.normal(size=(8, 2))
+    with pytest.raises(BadConfig, match="n_components"):
+        fit_pls(X, Y, n_components=count)
+    with pytest.raises(BadConfig, match="n_components"):
+        truncate_pls(fit_pls(X, Y, n_components=2), count)
+
+
 @pytest.mark.parametrize("block, row, value", [
     ("X", 3, np.nan), ("X", 0, np.inf), ("Y", 5, np.nan), ("Y", 7, -np.inf),
 ])

@@ -8,7 +8,7 @@ from genage import Dataset, HyperParams, SynthConfig, TrainConfig, fit, generate
 from genage.errors import NonConvergence
 from genage.smo import _BOUND_SLACK, _face_step, _ipm_warm_start, _shrink_coefficient
 
-from _oracles import svm_oracle, svor_oracle
+from _oracles import loop_recover_cuts, svm_oracle, svor_oracle
 
 
 # --------------------------------------------------- interior-point warm start
@@ -263,6 +263,53 @@ def test_a_tie_opens_and_closes_again_within_one_solve(monkeypatch):
     assert not joined[0].any()  # the warm start balances every cut on its own
     opened = joined.argmax(axis=0)
     assert any(joined[:, k].any() and not joined[opened[k]:, k].all() for k in range(prob.terms.n_cuts))
+
+
+# --------------------------------------------------- cut-value recovery
+
+def tied_solver(prob, rng):
+    """A dual solver at feasible random duals with ties: box duals put back
+    on the per-cut balances, then pair moves that each take balance from a
+    cut to an earlier cut of its chain, which raises the running sums
+    between them and so joins those cuts."""
+    lam, tau, cut = prob.penalty, prob.terms.tau, prob.terms.cut
+    solver = smo._DualSolver(prob, warm=rng.uniform(0.0, lam, tau.size))
+    beta = solver.beta
+    chain_of = np.full(prob.terms.n_cuts, -1)
+    for k, ch in enumerate(prob.terms.chains):
+        chain_of[ch] = k
+    for i, j in rng.integers(0, tau.size, (2 * tau.size, 2)):
+        if cut[i] < cut[j] and chain_of[cut[i]] == chain_of[cut[j]] >= 0:
+            room = min(lam - beta[i] if tau[i] > 0 else beta[i], beta[j] if tau[j] > 0 else lam - beta[j])
+            h = rng.uniform(0.0, room)
+            beta[i] += tau[i] * h
+            beta[j] -= tau[j] * h
+    solver._refresh()
+    return solver
+
+
+def test_one_pass_cut_recovery_matches_the_per_segment_loop():
+    """On 200 random problems at tied feasible duals, which hold segments of
+    one orientation, joined segments, chained cuts without terms and cuts
+    outside every chain, the recovered cuts equal the per-segment loop's."""
+    rng = np.random.default_rng(0)
+    seen = dict.fromkeys(["one orientation", "joined", "chained without terms", "unchained"], 0)
+    for seed in range(200):
+        solver = tied_solver(random_hinge_problem(seed), rng)
+        assert np.array_equal(solver._recover_cuts(), loop_recover_cuts(solver))
+        segments, _, joined, segment = solver._segments()
+        terms = solver.prob.terms
+        up = np.bincount(segment[terms.cut], terms.tau > 0, len(segments))
+        down = np.bincount(segment[terms.cut], terms.tau < 0, len(segments))
+        empty = np.bincount(terms.cut, minlength=terms.n_cuts) == 0
+        chained = np.zeros(terms.n_cuts, dtype=bool)
+        for ch in terms.chains:
+            chained[ch] = True
+        seen["one orientation"] += bool(np.any((up == 0) != (down == 0)))
+        seen["joined"] += bool(joined.any())
+        seen["chained without terms"] += bool(np.any(empty & chained))
+        seen["unchained"] += bool(not chained.all())
+    assert min(seen.values()) >= 20, seen
 
 
 # --------------------------------------------------- rank-one whitening

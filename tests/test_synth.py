@@ -97,20 +97,23 @@ def test_generate_builds_the_features_once():
 
 
 def test_bad_configs_rejected():
+    # when the config is built, not first when it is generated
     with pytest.raises(BadConfig):
-        generate(SynthConfig(gender_gap=0.0))
+        SynthConfig(gender_gap=0.0)
     with pytest.raises(BadConfig):
-        generate(SynthConfig(noise_sigma=-1.0))
+        SynthConfig(noise_sigma=-1.0)
     with pytest.raises(BadConfig):
-        generate(SynthConfig(male_cut_centers=(1.0, 0.0, 2.0, 3.0)))
+        SynthConfig(male_cut_centers=(1.0, 0.0, 2.0, 3.0))
     with pytest.raises(BadConfig):
-        generate(SynthConfig(male_cut_centers=(0.0, 1.0)))  # wrong length for K=5
+        SynthConfig(male_cut_centers=(0.0, 1.0))  # wrong length for K=5
     with pytest.raises(BadConfig, match="dim"):
-        generate(SynthConfig(dim=1))
+        SynthConfig(dim=1)
     with pytest.raises(BadConfig, match="num_ranks"):
-        generate(SynthConfig(num_ranks=1, male_cut_centers=()))
+        SynthConfig(num_ranks=1, male_cut_centers=())
     with pytest.raises(BadConfig):
-        generate(SynthConfig(samples_per_cell=0))
+        SynthConfig(samples_per_cell=0)
+    with pytest.raises(BadConfig, match="dim"):
+        SynthConfig().replace(dim=1)
 
 
 @pytest.mark.parametrize("changes", [{"discrepancy": np.inf}, {"gender_gap": np.inf}, {"noise_sigma": np.nan},
