@@ -101,7 +101,7 @@ def _in_order(pool, window, fn, jobs):
 
 @contextlib.contextmanager
 def _block_runner(blocks):
-    """A ``starmap`` for a job of about ``blocks`` blocks: the built-in one
+    """A ``starmap`` for a job of at least ``blocks`` blocks: the built-in one
     for a single block or CPU or off Linux, else one over a pool with a
     worker per block, up to the usable CPUs.
 
@@ -201,12 +201,10 @@ def _read_csv(path):
         if dim < 1 or header != expected:
             raise ParseError(1, f"header must be f1..fd,gender,age; got {','.join(header)}")
         jobs = _blocks(handle, _BLOCK_LINES, dim)
-        head = list(itertools.islice(jobs, 2))  # a second block sends them to the pool
-        count = len(head)
-        if count > 1:  # estimated from the file's size and the first block's
-            count = max(2, -(-os.fstat(handle.fileno()).st_size // sum(map(len, head[0][0]))))
+        # as many blocks as the pool could take are read ahead and counted
+        head = list(itertools.islice(jobs, _usable_cpus()))
         blocks, genders, ages = [], [], []
-        with _block_runner(count) as starmap:
+        with _block_runner(len(head)) as starmap:
             for features, block_genders, block_ages in starmap(
                 _parse_block, itertools.chain(head, jobs)
             ):

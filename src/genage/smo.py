@@ -31,10 +31,10 @@ sums.  A pair that moves balance to an earlier cut raises the running sums
 between the two cuts and so ties them; one that moves it to a later cut
 lowers them and stops where one reaches 0, which unties them.  No tie
 pattern is searched.  A Newton polish on the face of the free duals, with
-the segments as its balance blocks, finishes what the sweeps identify.  Cut
-values are recovered from the exact one-dimensional piecewise-linear
-minimization of each segment given the current v, which keeps the reported
-primal value a true upper bound for the duality-gap stopping test.
+the segments as its balance blocks, follows every sweep.  Cut values are
+recovered from the exact one-dimensional piecewise-linear minimization of
+each segment given the current v, which keeps the reported primal value a
+true upper bound for the duality-gap stopping test.
 """
 
 from __future__ import annotations
@@ -486,15 +486,6 @@ class _DualSolver:
             self.steps += 1
         return worst
 
-    def _smo(self, eps, budget):
-        sweeps = 0
-        while self.steps < budget:
-            if self._sweep(eps) <= eps:
-                return
-            sweeps += 1
-            if sweeps % 64 == 0:
-                self._polish()
-
     # ----------------------------------------------------- Newton face polish
 
     def _polish(self):
@@ -599,8 +590,8 @@ class _DualSolver:
     def solve(self, tol):
         eps = 1e-3
         budget = default_budget(self.prob.z.shape)
-        # the start is polished and tested first, then again after each SMO
-        # stage at eps 1e-3, 1e-5, ..., 1e-13
+        # the start is polished and tested first, then each SMO stage at eps
+        # 1e-3, 1e-5, ..., 1e-13 polishes after every sweep and is tested
         while True:
             if self.steps < budget:
                 self._polish()
@@ -614,7 +605,8 @@ class _DualSolver:
                 raise NonConvergence(self.steps, "budget", gap=gap)
             if eps < 1e-14:
                 raise NonConvergence(self.steps, "eps-floor", gap=gap)
-            self._smo(eps, budget)
+            while self.steps < budget and self._sweep(eps) > eps:
+                self._polish()
             eps *= 1e-2
 
 
@@ -624,12 +616,12 @@ def solve_hinge_dual(prob, tol=1e-6):
     Every solve starts from the interior-point warm start, or from the zero
     dual when that start's dual value is below zero's; each interior-point
     iteration counts as one step of the budget and of ``steps``.  The start
-    is polished and its gap tested before the first SMO stage, and again
-    after each stage.  The chains enter only as limits on the steps of the
-    dual finish: no step lets an order multiplier, a running sum of cut
-    balances, fall below 0.  Raises :class:`NonConvergence` when the duality
-    gap cannot be closed: the step budget of :func:`default_budget` ran out
-    (``budget``), or the SMO tolerance reached its floor (``eps-floor``).
+    is polished and its gap tested first; a polish follows every SMO sweep
+    and a gap test every stage.  The chains enter only as limits on the
+    steps of the dual finish: no step lets an order multiplier, a running
+    sum of cut balances, fall below 0.  Raises :class:`NonConvergence` when
+    the gap cannot be closed: the step budget of :func:`default_budget` ran
+    out (``budget``), or the SMO tolerance reached its floor (``eps-floor``).
     """
     beta, iterations = _ipm_warm_start(prob)
     solver = _DualSolver(prob, warm=beta)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,6 +125,32 @@ def test_generate_then_fit_then_predict(tmp_path):
     lines = pred_path.read_text().strip().splitlines()
     assert lines[0] == "gender,age"
     assert len(lines) == 1 + 8 * 5 * 2
+
+
+def run_module(*args):
+    """``python -m genage.cli`` in a new process, importing this checkout's ``src``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "genage.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_runs_as_a_process(tmp_path):
+    data, model, pred = (str(tmp_path / name) for name in ("data.csv", "model.json", "pred.csv"))
+    for args in (["generate", "--config", synth_json(tmp_path), "--out", data],
+                 ["fit", "--data", data, "--tmax", "1", "--out", model],
+                 ["predict", "--model", model, "--data", data, "--out", pred]):
+        done = run_module(*args)
+        assert done.returncode == 0, done.stderr
+    with open(pred, encoding="utf-8") as handle:
+        assert len(handle.read().splitlines()) == 1 + 8 * 5 * 2
+
+    missing = run_module("fit", "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "none.json"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("genage: error:") and len(missing.stderr.splitlines()) == 1
+    assert not (tmp_path / "none.json").exists()
+
+    assert run_module("fit", "--data", data).returncode == 2  # --out is required
 
 
 def years_csv(path, years, rng):

@@ -334,12 +334,29 @@ def test_pooled_export_matches_the_row_writer(tmp_path, pools, n, years):
     assert_no_worker_or_file_left(tmp_path, "out.csv")
 
 
+def padded_lines(pad, n):
+    return "\n".join(["f1,f2,gender,age"] + [pad + GOOD.replace(",", f"{pad},{pad}") + pad] * n) + "\n"
+
+
+# files of two blocks whose size in bytes overstates their block count: cells
+# padded with multibyte whitespace, which stripping removes, and a second
+# block of lines longer than the first block's
+TWO_BLOCK_FILES = {
+    "U+00A0 padding": padded_lines("\u00a0" * 4, 5000),
+    "U+3000 padding": padded_lines("\u3000" * 8, 5096),
+    "longer later lines": padded_lines("", BLOCK) + padded_lines(" " * 60, 904).split("\n", 1)[1],
+}
+
+
 def test_pool_has_no_more_workers_than_blocks(tmp_path, pools, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     ds = block_dataset(BLOCK + 1, years=False)
     export_csv(ds, str(tmp_path / "d.csv"))
     assert assert_same_reading(str(tmp_path / "d.csv")) == ds
     assert pools == [2, 2]
+    for name, text in TWO_BLOCK_FILES.items():
+        assert assert_same_reading(write_bytes(tmp_path / "d.csv", text)).n == len(text.splitlines()) - 1
+        assert pools[-1] == 2, name
     assert_no_worker_or_file_left(tmp_path, "d.csv")
 
 
